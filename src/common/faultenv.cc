@@ -255,6 +255,17 @@ int FsyncFaulty(const char* site, int fd) {
   }
 }
 
+int OpenFaulty(const char* site, const char* path, int flags) {
+  auto decision = Decide(site);
+  if (!decision) return ::open(path, flags);
+  if (decision->kind == FaultKind::kStall) {
+    SleepMs(decision->stall_ms);
+    return ::open(path, flags);
+  }
+  errno = EIO;
+  return -1;
+}
+
 ssize_t SendFaulty(const char* site, int fd, const void* buf, size_t n,
                    int flags) {
   auto decision = Decide(site);

@@ -1,6 +1,7 @@
 #ifndef DBSHERLOCK_COMMON_FAULTENV_H_
 #define DBSHERLOCK_COMMON_FAULTENV_H_
 
+#include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -22,6 +23,7 @@ namespace dbsherlock::common::faultenv {
 ///   wal.write / wal.fsync       DurableModelStore WAL appends
 ///   snap.write / snap.fsync     DurableModelStore snapshot compaction
 ///   seg.write / seg.fsync       TenantStore segment seals
+///   seg.open                    TenantStore segment opens (reads, recovery)
 ///   seg.read                    TenantStore segment reads (scans, recovery)
 ///   seg.dirsync                 TenantStore directory fsync after seal
 ///   srv.send / srv.recv         Server per-connection I/O
@@ -88,6 +90,7 @@ extern std::atomic<bool> g_enabled;
 ssize_t WriteFaulty(const char* site, int fd, const void* buf, size_t n);
 ssize_t ReadFaulty(const char* site, int fd, void* buf, size_t n);
 int FsyncFaulty(const char* site, int fd);
+int OpenFaulty(const char* site, const char* path, int flags);
 ssize_t SendFaulty(const char* site, int fd, const void* buf, size_t n,
                    int flags);
 ssize_t RecvFaulty(const char* site, int fd, void* buf, size_t n, int flags);
@@ -116,6 +119,14 @@ inline ssize_t Read(const char* site, int fd, void* buf, size_t n) {
 inline int Fsync(const char* site, int fd) {
   if (!Enabled()) return ::fsync(fd);
   return internal::FsyncFaulty(site, fd);
+}
+
+/// Opens an existing file (no O_CREAT). A stall sleeps before the open,
+/// so whatever happens to the file meanwhile is what the open sees; every
+/// other kind fails the open with EIO.
+inline int Open(const char* site, const char* path, int flags) {
+  if (!Enabled()) return ::open(path, flags);
+  return internal::OpenFaulty(site, path, flags);
 }
 
 inline ssize_t Send(const char* site, int fd, const void* buf, size_t n,

@@ -11,7 +11,6 @@
 #include <cstring>
 #include <limits>
 #include <optional>
-#include <thread>
 
 #include "common/faultenv.h"
 #include "common/metrics.h"
@@ -48,11 +47,12 @@ Status WriteAll(int fd, const char* data, size_t n, const std::string& path) {
   return Status::OK();
 }
 
-/// Slurps a segment file through the faultenv "seg.read" site. A file
-/// that is gone entirely maps to NotFound so scans can tell a retention
-/// race from real corruption.
+/// Slurps a segment file through the faultenv "seg.open" and "seg.read"
+/// sites. A file that is gone entirely maps to NotFound so reads can tell
+/// a retention race from real corruption.
 Status ReadFile(const std::string& path, std::string* out) {
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  int fd = common::faultenv::Open("seg.open", path.c_str(),
+                                  O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     if (errno == ENOENT) {
       return Status::NotFound("segment file gone: " + path);
@@ -232,9 +232,13 @@ Status TenantStore::RecoverLocked() {
     info.min_ts = decoded->timestamp(0);
     info.max_ts = decoded->timestamp(decoded->num_rows() - 1);
     info.bytes = blob.size();
-    // A failed in-place upgrade (e.g. read-only media) is not fatal: the
-    // manifest zone map is synthesized from the decoded rows either way.
-    info.zones = zones.ok() ? std::move(*zones) : ComputeZoneMap(*decoded);
+    // A failed in-place upgrade (e.g. read-only media) is not fatal, and
+    // a CRC-valid footer with the wrong attribute count is not trusted:
+    // either way the manifest zone map is synthesized from the decoded
+    // rows, so every manifest entry covers every schema attribute.
+    bool footer_fits =
+        zones.ok() && zones->attrs.size() == options_.schema.num_attributes();
+    info.zones = footer_fits ? std::move(*zones) : ComputeZoneMap(*decoded);
     have_last_ts_ = true;
     last_ts_ = std::max(last_ts_, info.max_ts);
     segments_.push_back(std::move(info));
@@ -369,24 +373,6 @@ void TenantStore::SetRetention(uint64_t retain_bytes, double retain_age_sec) {
   options_.retain_age_sec = retain_age_sec;
 }
 
-Status TenantStore::AppendRange(const tsdata::Dataset& src, double t0,
-                                double t1, tsdata::Dataset* dst) const {
-  std::vector<tsdata::Cell> cells(src.num_attributes());
-  for (size_t row : src.RowsInTimeRange(t0, t1)) {
-    for (size_t i = 0; i < src.num_attributes(); ++i) {
-      const tsdata::Column& column = src.column(i);
-      if (column.kind() == tsdata::AttributeKind::kNumeric) {
-        cells[i] = column.numeric(row);
-      } else {
-        cells[i] = column.CategoryName(column.code(row));
-      }
-    }
-    DBSHERLOCK_RETURN_NOT_OK(
-        dst->AppendRowUnchecked(src.timestamp(row), cells));
-  }
-  return Status::OK();
-}
-
 namespace {
 
 /// An AttributeBound resolved to a schema index.
@@ -420,12 +406,11 @@ Status ResolveBounds(const tsdata::Schema& schema,
   return Status::OK();
 }
 
-/// Copies the rows of `src` inside [t0, t1) that satisfy every bound
-/// (NaN never matches) into a fresh dataset.
-Result<tsdata::Dataset> FilterChunk(const tsdata::Dataset& src, double t0,
-                                    double t1,
-                                    const std::vector<ResolvedBound>& bounds) {
-  tsdata::Dataset dst(src.schema());
+/// Appends the rows of `src` inside [t0, t1) that satisfy every bound
+/// (NaN never matches) to `dst`.
+Status AppendMatching(const tsdata::Dataset& src, double t0, double t1,
+                      const std::vector<ResolvedBound>& bounds,
+                      tsdata::Dataset* dst) {
   std::vector<tsdata::Cell> cells(src.num_attributes());
   for (size_t row : src.RowsInTimeRange(t0, t1)) {
     bool pass = true;
@@ -446,43 +431,162 @@ Result<tsdata::Dataset> FilterChunk(const tsdata::Dataset& src, double t0,
       }
     }
     DBSHERLOCK_RETURN_NOT_OK(
-        dst.AppendRowUnchecked(src.timestamp(row), cells));
+        dst->AppendRowUnchecked(src.timestamp(row), cells));
   }
+  return Status::OK();
+}
+
+Result<tsdata::Dataset> FilterChunk(const tsdata::Dataset& src, double t0,
+                                    double t1,
+                                    const std::vector<ResolvedBound>& bounds) {
+  tsdata::Dataset dst(src.schema());
+  DBSHERLOCK_RETURN_NOT_OK(AppendMatching(src, t0, t1, bounds, &dst));
   return dst;
 }
 
-/// Per-segment result of the parallel decode stage.
+/// Stitches delivered chunks verbatim onto `*out`, which starts over
+/// when a read restarts.
+ScanVisitor StitchInto(tsdata::Dataset* out) {
+  ScanVisitor visitor;
+  visitor.on_chunk = [out](const tsdata::Dataset& chunk) {
+    return AppendMatching(chunk, -std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::infinity(), {}, out);
+  };
+  visitor.on_reset = [out] { *out = tsdata::Dataset(out->schema()); };
+  return visitor;
+}
+
+/// Per-segment result of the parallel decode stage. A NotFound status
+/// comes only from ReadFile: the file is gone.
 struct SegmentChunk {
   Status status;
   tsdata::Dataset chunk;
-  bool not_found = false;
 };
 
-SegmentChunk DecodeAndFilter(const SegmentInfo& seg, double t0, double t1,
-                             const std::vector<ResolvedBound>& bounds) {
-  SegmentChunk out;
-  std::string blob;
-  out.status = ReadFile(seg.path, &blob);
-  if (!out.status.ok()) {
-    out.not_found = out.status.code() == common::StatusCode::kNotFound;
-    return out;
-  }
-  auto decoded = DecodeSegment(blob);
-  if (!decoded.ok()) {
-    out.status = Status::IoError("corrupt sealed segment " + seg.path +
-                                 ": " + decoded.status().message());
-    return out;
-  }
-  auto filtered = FilterChunk(*decoded, t0, t1, bounds);
-  if (!filtered.ok()) {
-    out.status = filtered.status();
-    return out;
-  }
-  out.chunk = std::move(*filtered);
-  return out;
-}
-
 }  // namespace
+
+Status TenantStore::ReadPipeline(const ReadPlanner& planner,
+                                 const SegmentStep& step,
+                                 const ScanVisitor& consumer,
+                                 size_t max_rows, size_t parallelism,
+                                 ScanStats* stats) const {
+  // Ordered batches bound peak memory (a handful of inflated segments per
+  // lane) and let the row cap stop the read early; ordered stitching keeps
+  // the output bit-identical across parallelism settings.
+  const size_t batch = 4 * common::EffectiveParallelism(parallelism);
+
+  // One attempt. Sets `raced` when retention unlinked a snapshotted file
+  // before the read opened it.
+  auto read_once = [&](bool* raced) -> Status {
+    // Snapshot under the shared lock: manifest copy, active-tail copy,
+    // retention generation. No file I/O or decompression happens while
+    // the lock is held, so a long retro-scan never stalls Append/Seal.
+    std::vector<SegmentInfo> snapshot;
+    tsdata::Dataset active;
+    uint64_t generation = 0;
+    {
+      std::shared_lock lock(mu_);
+      snapshot = segments_;
+      active = active_;
+      generation = retention_generation_;
+    }
+    stats->segments_total = snapshot.size();
+    std::vector<size_t> plan;
+    DBSHERLOCK_RETURN_NOT_OK(planner(snapshot, &active, &plan, stats));
+
+    // Deliver a chunk, honouring the row cap. After the cap is reached
+    // the read keeps decoding only until one more row proves truncation —
+    // so `truncated` is exact, never a guess.
+    uint64_t emitted = 0;
+    bool done = false;
+    auto deliver = [&](const tsdata::Dataset& chunk) -> Status {
+      if (chunk.num_rows() == 0) return Status::OK();
+      if (max_rows > 0) {
+        if (emitted >= max_rows) {
+          stats->truncated = true;
+          done = true;
+          return Status::OK();
+        }
+        if (emitted + chunk.num_rows() > max_rows) {
+          size_t take = static_cast<size_t>(max_rows - emitted);
+          emitted += take;
+          stats->truncated = true;
+          done = true;
+          stats->rows_out = emitted;
+          return consumer.on_chunk(chunk.Slice(0, take));
+        }
+      }
+      emitted += chunk.num_rows();
+      stats->rows_out = emitted;
+      return consumer.on_chunk(chunk);
+    };
+
+    for (size_t base = 0; base < plan.size() && !done; base += batch) {
+      size_t count = std::min(batch, plan.size() - base);
+      std::vector<SegmentChunk> results = common::ParallelMap(
+          count,
+          [&](size_t i) {
+            SegmentChunk out;
+            const SegmentInfo& seg = snapshot[plan[base + i]];
+            std::string blob;
+            out.status = ReadFile(seg.path, &blob);
+            if (!out.status.ok()) return out;
+            auto decoded = DecodeSegment(blob);
+            if (!decoded.ok()) {
+              out.status = Status::IoError("corrupt sealed segment " +
+                                           seg.path + ": " +
+                                           decoded.status().message());
+              return out;
+            }
+            auto chunk = step(base + i, std::move(*decoded));
+            if (!chunk.ok()) {
+              out.status = chunk.status();
+              return out;
+            }
+            out.chunk = std::move(*chunk);
+            return out;
+          },
+          parallelism);
+      stats->segments_decoded += count;
+      for (SegmentChunk& r : results) {
+        if (r.status.code() == common::StatusCode::kNotFound) {
+          std::shared_lock lock(mu_);
+          *raced = generation != retention_generation_;
+          if (*raced) return r.status;
+          return Status::IoError(
+              "sealed segment vanished outside retention: " +
+              r.status.message());
+        }
+        DBSHERLOCK_RETURN_NOT_OK(r.status);
+        DBSHERLOCK_RETURN_NOT_OK(deliver(r.chunk));
+        if (done) break;
+      }
+    }
+    if (!done) DBSHERLOCK_RETURN_NOT_OK(deliver(active));
+    return Status::OK();
+  };
+
+  // A read that raced retention restarts from a fresh snapshot; the
+  // attempt cap turns a pathological churn loop into an honest error.
+  constexpr int kMaxAttempts = 3;
+  for (int attempt = 1;; ++attempt) {
+    *stats = ScanStats{};
+    stats->retries = static_cast<size_t>(attempt - 1);
+    bool raced = false;
+    Status status = read_once(&raced);
+    if (!raced) return status;
+    if (attempt >= kMaxAttempts) {
+      return Status::IoError("read raced retention " +
+                             std::to_string(kMaxAttempts) +
+                             " times; giving up: " + status.message());
+    }
+    scan_retries_.fetch_add(1, std::memory_order_relaxed);
+    common::MetricsRegistry::Global()
+        .GetCounter("store.scan_retention_retries")
+        ->Increment();
+    if (consumer.on_reset) consumer.on_reset();
+  }
+}
 
 Result<tsdata::Dataset> TenantStore::Scan(double t0, double t1) const {
   ScanOptions options;
@@ -495,14 +599,7 @@ Result<tsdata::Dataset> TenantStore::Scan(double t0, double t1) const {
 Result<tsdata::Dataset> TenantStore::ScanWithOptions(
     const ScanOptions& options, ScanStats* stats) const {
   tsdata::Dataset out(options_.schema);
-  ScanVisitor visitor;
-  visitor.on_chunk = [&](const tsdata::Dataset& chunk) {
-    // Chunks arrive already filtered; stitch them verbatim.
-    return AppendRange(chunk, -std::numeric_limits<double>::infinity(),
-                       std::numeric_limits<double>::infinity(), &out);
-  };
-  visitor.on_reset = [&] { out = tsdata::Dataset(options_.schema); };
-  DBSHERLOCK_RETURN_NOT_OK(ScanVisit(options, visitor, stats));
+  DBSHERLOCK_RETURN_NOT_OK(ScanVisit(options, StitchInto(&out), stats));
   return out;
 }
 
@@ -515,26 +612,44 @@ Status TenantStore::ScanVisit(const ScanOptions& options,
   if (!(options.t0 < options.t1)) {
     return Status::InvalidArgument("scan range must satisfy t0 < t1");
   }
-  // A scan that raced retention restarts from a fresh snapshot; the
-  // attempt cap turns a pathological churn loop into an honest error.
-  constexpr int kMaxAttempts = 3;
-  ScanStats local;
-  Status status;
-  for (int attempt = 0;; ++attempt) {
-    local = ScanStats{};
-    local.retries = static_cast<size_t>(attempt);
-    bool raced = false;
-    status = ScanVisitOnce(options, visitor, &local, &raced);
-    if (status.ok() || !raced) break;
-    scan_retries_.fetch_add(1, std::memory_order_relaxed);
-    metrics.GetCounter("store.scan_retention_retries")->Increment();
-    if (attempt + 1 >= kMaxAttempts) {
-      status = Status::IoError(
-          "scan raced retention " + std::to_string(kMaxAttempts) +
-          " times; giving up: " + status.message());
-      break;
+  std::vector<ResolvedBound> bounds;
+  // Plan: prune segments that provably cannot contribute. The time test
+  // compares [min_ts, max_ts] against the half-open [t0, t1); the zone
+  // test consults the per-attribute min/max written at seal time.
+  auto plan = [&](const std::vector<SegmentInfo>& segments,
+                  tsdata::Dataset* active, std::vector<size_t>* decode,
+                  ScanStats* st) -> Status {
+    for (size_t s = 0; s < segments.size(); ++s) {
+      const SegmentInfo& seg = segments[s];
+      if (options.prune) {
+        if (seg.max_ts < options.t0 || seg.min_ts >= options.t1) {
+          ++st->segments_skipped_time;
+          continue;
+        }
+        if (std::any_of(bounds.begin(), bounds.end(),
+                        [&](const ResolvedBound& b) {
+                          return seg.zones.attrs[b.attr].CannotMatch(b.lo,
+                                                                     b.hi);
+                        })) {
+          ++st->segments_skipped_zone;
+          continue;
+        }
+      }
+      decode->push_back(s);
     }
-    if (visitor.on_reset) visitor.on_reset();
+    auto tail = FilterChunk(*active, options.t0, options.t1, bounds);
+    if (!tail.ok()) return tail.status();
+    *active = std::move(*tail);
+    return Status::OK();
+  };
+  auto filter = [&](size_t, tsdata::Dataset decoded) {
+    return FilterChunk(decoded, options.t0, options.t1, bounds);
+  };
+  ScanStats local;
+  Status status = ResolveBounds(options_.schema, options.bounds, &bounds);
+  if (status.ok()) {
+    status = ReadPipeline(plan, filter, visitor, options.max_rows,
+                          options.parallelism, &local);
   }
   scans_total_.fetch_add(1, std::memory_order_relaxed);
   scan_segments_skipped_.fetch_add(
@@ -544,221 +659,46 @@ Status TenantStore::ScanVisit(const ScanOptions& options,
                                    std::memory_order_relaxed);
   metrics.GetCounter("store.scan_segments_skipped")
       ->Increment(local.segments_skipped_time +
-                    local.segments_skipped_zone);
+                  local.segments_skipped_zone);
   metrics.GetCounter("store.scan_segments_decoded")
       ->Increment(local.segments_decoded);
   if (stats != nullptr) *stats = local;
   return status;
 }
 
-Status TenantStore::ScanVisitOnce(const ScanOptions& options,
-                                  const ScanVisitor& visitor,
-                                  ScanStats* stats,
-                                  bool* retention_raced) const {
-  *retention_raced = false;
-  std::vector<ResolvedBound> bounds;
-  DBSHERLOCK_RETURN_NOT_OK(
-      ResolveBounds(options_.schema, options.bounds, &bounds));
-
-  // Snapshot under the shared lock: manifest copy, active-tail copy,
-  // retention generation. No file I/O or decompression happens while the
-  // lock is held, so a long retro-scan never stalls Append/Seal.
-  std::vector<SegmentInfo> snapshot;
-  tsdata::Dataset active_copy;
-  uint64_t generation = 0;
-  {
-    std::shared_lock lock(mu_);
-    snapshot = segments_;
-    active_copy = active_;
-    generation = retention_generation_;
-  }
-  stats->segments_total = snapshot.size();
-
-  // Plan: prune segments that provably cannot contribute. The time test
-  // compares [min_ts, max_ts] against the half-open [t0, t1); the zone
-  // test consults the per-attribute min/max written at seal time.
-  std::vector<size_t> plan;
-  plan.reserve(snapshot.size());
-  for (size_t s = 0; s < snapshot.size(); ++s) {
-    const SegmentInfo& seg = snapshot[s];
-    if (options.prune) {
-      if (seg.max_ts < options.t0 || seg.min_ts >= options.t1) {
-        ++stats->segments_skipped_time;
-        continue;
-      }
-      bool zone_skip = false;
-      if (!bounds.empty() &&
-          seg.zones.attrs.size() == options_.schema.num_attributes()) {
-        for (const ResolvedBound& b : bounds) {
-          if (seg.zones.attrs[b.attr].CannotMatch(b.lo, b.hi)) {
-            zone_skip = true;
-            break;
-          }
-        }
-      }
-      if (zone_skip) {
-        ++stats->segments_skipped_zone;
-        continue;
-      }
-    }
-    plan.push_back(s);
-  }
-
-  // Deliver a filtered chunk, honouring the row cap. After the cap is
-  // reached the scan keeps decoding only until one more matching row
-  // proves truncation — so `truncated` is exact, never a guess.
-  uint64_t emitted = 0;
-  bool done = false;
-  auto deliver = [&](const tsdata::Dataset& chunk) -> Status {
-    if (chunk.num_rows() == 0) return Status::OK();
-    if (options.max_rows > 0) {
-      if (emitted >= options.max_rows) {
-        stats->truncated = true;
-        done = true;
-        return Status::OK();
-      }
-      if (emitted + chunk.num_rows() > options.max_rows) {
-        size_t take = static_cast<size_t>(options.max_rows - emitted);
-        tsdata::Dataset head = chunk.Slice(0, take);
-        emitted += take;
-        stats->truncated = true;
-        done = true;
-        stats->rows_out = emitted;
-        return visitor.on_chunk(head);
-      }
-    }
-    emitted += chunk.num_rows();
-    stats->rows_out = emitted;
-    return visitor.on_chunk(chunk);
-  };
-
-  // Decode planned segments in ordered batches outside the lock. Batches
-  // bound peak memory (a handful of inflated segments per lane) and let
-  // the row cap stop the scan early; ordered stitching keeps the output
-  // bit-identical across parallelism settings.
-  size_t lanes = options.parallelism > 0
-                     ? options.parallelism
-                     : std::max<size_t>(1, std::thread::hardware_concurrency());
-  size_t batch = std::max<size_t>(1, 4 * lanes);
-  for (size_t base = 0; base < plan.size() && !done; base += batch) {
-    size_t count = std::min(batch, plan.size() - base);
-    std::vector<SegmentChunk> results = common::ParallelMap(
-        count,
-        [&](size_t i) {
-          return DecodeAndFilter(snapshot[plan[base + i]], options.t0,
-                                 options.t1, bounds);
-        },
-        options.parallelism);
-    stats->segments_decoded += count;
-    for (SegmentChunk& r : results) {
-      if (r.not_found) {
-        std::shared_lock lock(mu_);
-        if (generation != retention_generation_) {
-          *retention_raced = true;
-          return r.status;
-        }
-        return Status::IoError("sealed segment vanished outside retention: " +
-                               r.status.message());
-      }
-      if (!r.status.ok()) return r.status;
-      DBSHERLOCK_RETURN_NOT_OK(deliver(r.chunk));
-      if (done) break;
-    }
-  }
-  if (!done) {
-    auto tail = FilterChunk(active_copy, options.t0, options.t1, bounds);
-    if (!tail.ok()) return tail.status();
-    DBSHERLOCK_RETURN_NOT_OK(deliver(*tail));
-  }
-  return Status::OK();
-}
-
 Result<tsdata::Dataset> TenantStore::ScanTail(size_t max_rows) const {
   TRACE_SPAN("store.scan");
-  tsdata::Dataset out;
-  constexpr int kMaxAttempts = 3;
-  for (int attempt = 0;; ++attempt) {
-    out = tsdata::Dataset(options_.schema);
-    // Snapshot which pieces contribute under the shared lock; read and
-    // decode them afterwards, same discipline as ScanVisitOnce.
-    std::vector<std::pair<SegmentInfo, size_t>> pieces;  // (seg, take)
-    tsdata::Dataset active_copy;
-    size_t active_take = 0;
-    uint64_t generation = 0;
-    {
-      std::shared_lock lock(mu_);
-      generation = retention_generation_;
-      if (max_rows == 0) return out;
-      size_t needed = max_rows;
-      active_take = std::min(active_.num_rows(), needed);
-      needed -= active_take;
-      if (active_take > 0) {
-        active_copy = active_.Slice(active_.num_rows() - active_take,
-                                    active_.num_rows());
-      }
-      for (auto it = segments_.rbegin();
-           it != segments_.rend() && needed > 0; ++it) {
-        size_t take = std::min<size_t>(it->rows, needed);
-        pieces.emplace_back(*it, take);
-        needed -= take;
-      }
-      std::reverse(pieces.begin(), pieces.end());
+  // Plan the newest pieces, newest first, then flip to timestamp order.
+  // Every planned segment but the oldest contributes all of its rows.
+  size_t oldest_take = 0;
+  auto plan = [&](const std::vector<SegmentInfo>& segments,
+                  tsdata::Dataset* active, std::vector<size_t>* decode,
+                  ScanStats*) -> Status {
+    size_t needed = max_rows;
+    size_t active_take = std::min(active->num_rows(), needed);
+    needed -= active_take;
+    *active = active->Slice(active->num_rows() - active_take,
+                            active->num_rows());
+    for (size_t s = segments.size(); s > 0 && needed > 0; --s) {
+      oldest_take = std::min<size_t>(segments[s - 1].rows, needed);
+      needed -= oldest_take;
+      decode->push_back(s - 1);
     }
-
-    std::vector<SegmentChunk> results = common::ParallelMap(
-        pieces.size(), [&](size_t i) {
-          SegmentChunk out_chunk;
-          std::string blob;
-          out_chunk.status = ReadFile(pieces[i].first.path, &blob);
-          if (!out_chunk.status.ok()) {
-            out_chunk.not_found =
-                out_chunk.status.code() == common::StatusCode::kNotFound;
-            return out_chunk;
-          }
-          auto decoded = DecodeSegment(blob);
-          if (!decoded.ok()) {
-            out_chunk.status =
-                Status::IoError("corrupt sealed segment " +
-                                pieces[i].first.path + ": " +
-                                decoded.status().message());
-            return out_chunk;
-          }
-          size_t take = pieces[i].second;
-          out_chunk.chunk =
-              decoded->Slice(decoded->num_rows() - take, decoded->num_rows());
-          return out_chunk;
-        });
-
-    bool raced = false;
-    Status status;
-    for (SegmentChunk& r : results) {
-      if (r.not_found) {
-        std::shared_lock lock(mu_);
-        if (generation != retention_generation_ &&
-            attempt + 1 < kMaxAttempts) {
-          raced = true;
-          scan_retries_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-        status = Status::IoError("sealed segment vanished mid-scan: " +
-                                 r.status.message());
-        break;
-      }
-      if (!r.status.ok()) {
-        status = r.status;
-        break;
-      }
-      status = AppendRange(r.chunk, -std::numeric_limits<double>::infinity(),
-                           std::numeric_limits<double>::infinity(), &out);
-      if (!status.ok()) break;
-    }
-    if (raced) continue;
-    DBSHERLOCK_RETURN_NOT_OK(status);
-    DBSHERLOCK_RETURN_NOT_OK(AppendRange(
-        active_copy, -std::numeric_limits<double>::infinity(),
-        std::numeric_limits<double>::infinity(), &out));
-    return out;
-  }
+    std::reverse(decode->begin(), decode->end());
+    return Status::OK();
+  };
+  auto slice = [&](size_t i,
+                   tsdata::Dataset decoded) -> Result<tsdata::Dataset> {
+    if (i > 0) return decoded;
+    return decoded.Slice(decoded.num_rows() - oldest_take,
+                         decoded.num_rows());
+  };
+  tsdata::Dataset out(options_.schema);
+  ScanStats stats;
+  DBSHERLOCK_RETURN_NOT_OK(ReadPipeline(plan, slice, StitchInto(&out),
+                                        /*max_rows=*/0, /*parallelism=*/0,
+                                        &stats));
+  return out;
 }
 
 Result<double> TenantStore::ResolveQuantile(const std::string& attribute,
@@ -782,210 +722,119 @@ Result<double> TenantStore::ResolveQuantile(const std::string& attribute,
   }
   const size_t attr = *idx;
 
-  constexpr int kMaxAttempts = 3;
-  for (int attempt = 0;; ++attempt) {
-    // Snapshot under the shared lock; all file I/O happens outside it,
-    // same discipline as ScanVisitOnce.
-    std::vector<SegmentInfo> snapshot;
-    tsdata::Dataset active_copy;
-    uint64_t generation = 0;
-    {
-      std::shared_lock lock(mu_);
-      snapshot = segments_;
-      active_copy = active_;
-      generation = retention_generation_;
-    }
-
-    QuantileStats local;
-    local.segments_total = snapshot.size();
-
+  // The k-th smallest of `total` non-NaN values lies in (lo, hi]. Values
+  // <= lo are only counted; the rest are pooled and ranked.
+  uint64_t total = 0;
+  uint64_t k = 0;
+  double lo = -std::numeric_limits<double>::infinity();
+  uint64_t known_below = 0;
+  std::vector<double> pool;
+  auto plan = [&](const std::vector<SegmentInfo>& segments,
+                  tsdata::Dataset* active, std::vector<size_t>* decode,
+                  ScanStats*) -> Status {
     // The active tail is already in memory: its values are exact.
     std::vector<double> active_vals;
-    if (active_copy.num_rows() > 0) {
-      for (double v : active_copy.column(attr).numeric_values()) {
-        if (!std::isnan(v)) active_vals.push_back(v);
-      }
+    for (double v : active->column(attr).numeric_values()) {
+      if (!std::isnan(v)) active_vals.push_back(v);
     }
-
-    // Zone-map census. A segment without a usable zone map (should not
-    // happen after the v2 upgrade, but stay safe) is treated as spanning
-    // everything, which only forces it into the decode set.
-    struct SegCensus {
-      size_t idx = 0;
-      double min = -std::numeric_limits<double>::infinity();
-      double max = std::numeric_limits<double>::infinity();
-      uint64_t count = 0;
-    };
-    std::vector<SegCensus> census;
-    census.reserve(snapshot.size());
-    uint64_t total = active_vals.size();
-    bool counts_known = true;
-    for (size_t s = 0; s < snapshot.size(); ++s) {
-      SegCensus c;
-      c.idx = s;
-      if (snapshot[s].zones.attrs.size() ==
-          options_.schema.num_attributes()) {
-        const AttrZone& zone = snapshot[s].zones.attrs[attr];
-        c.min = zone.min;
-        c.max = zone.max;
-        c.count = zone.non_nan_count;
-      } else {
-        counts_known = false;
-      }
-      census.push_back(c);
+    total = active_vals.size();
+    for (const SegmentInfo& seg : segments) {
+      total += seg.zones.attrs[attr].non_nan_count;
     }
-
-    // Without trustworthy counts the bracket cannot be derived; fall back
-    // to decoding everything (the census entries already span everything).
-    if (counts_known) {
-      for (const SegCensus& c : census) total += c.count;
-    }
-    if (counts_known && total == 0) {
+    if (total == 0) {
       return Status::FailedPrecondition("no non-NaN values stored for '" +
                                         attribute + "'");
     }
+    k = static_cast<uint64_t>(std::ceil(q * static_cast<double>(total)));
+    k = std::clamp<uint64_t>(k, 1, total);
 
     // Bracket the k-th order statistic. LB(t) counts values certainly
     // <= t (segments whose zone max <= t, plus exact active values);
     // UB(t) counts values possibly <= t (zone min <= t). The k-th value
     // lies in (lo, hi] where lo is the largest candidate with UB < k and
     // hi the smallest with LB >= k.
-    uint64_t k = 0;
-    double lo = -std::numeric_limits<double>::infinity();
+    std::vector<double> candidates;
+    candidates.reserve(2 * segments.size() + active_vals.size());
+    for (const SegmentInfo& seg : segments) {
+      const AttrZone& zone = seg.zones.attrs[attr];
+      if (zone.non_nan_count == 0) continue;
+      if (!std::isnan(zone.min)) candidates.push_back(zone.min);
+      if (!std::isnan(zone.max)) candidates.push_back(zone.max);
+    }
+    candidates.insert(candidates.end(), active_vals.begin(),
+                      active_vals.end());
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    lo = -std::numeric_limits<double>::infinity();
     double hi = std::numeric_limits<double>::infinity();
-    if (counts_known) {
-      k = static_cast<uint64_t>(std::ceil(q * static_cast<double>(total)));
-      if (k < 1) k = 1;
-      if (k > total) k = total;
-      std::vector<double> candidates;
-      candidates.reserve(2 * census.size() + active_vals.size());
-      for (const SegCensus& c : census) {
-        if (c.count == 0) continue;
-        if (!std::isnan(c.min)) candidates.push_back(c.min);
-        if (!std::isnan(c.max)) candidates.push_back(c.max);
+    for (double t : candidates) {
+      uint64_t lb = 0;
+      uint64_t ub = 0;
+      for (const SegmentInfo& seg : segments) {
+        const AttrZone& zone = seg.zones.attrs[attr];
+        if (zone.max <= t) lb += zone.non_nan_count;
+        if (zone.min <= t) ub += zone.non_nan_count;
       }
-      candidates.insert(candidates.end(), active_vals.begin(),
-                        active_vals.end());
-      std::sort(candidates.begin(), candidates.end());
-      candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                       candidates.end());
-      for (double t : candidates) {
-        uint64_t lb = 0;
-        uint64_t ub = 0;
-        for (const SegCensus& c : census) {
-          if (c.max <= t) lb += c.count;
-          if (c.min <= t) ub += c.count;
+      for (double a : active_vals) {
+        if (a <= t) {
+          ++lb;
+          ++ub;
         }
-        for (double a : active_vals) {
-          if (a <= t) {
-            ++lb;
-            ++ub;
-          }
-        }
-        if (ub < k) lo = t;
-        if (lb >= k && t < hi) hi = t;
       }
+      if (ub < k) lo = t;
+      if (lb >= k && t < hi) hi = t;
     }
 
     // Decode only segments straddling (lo, hi]; fully-below segments
     // contribute their counts, fully-above ones nothing at all.
-    std::vector<size_t> decode_plan;
-    uint64_t known_below = 0;
-    for (const SegCensus& c : census) {
-      if (counts_known && c.count == 0) continue;
-      if (c.max <= lo) {
-        known_below += c.count;
-      } else if (c.min <= hi) {
-        decode_plan.push_back(c.idx);
+    known_below = 0;
+    pool.clear();
+    for (size_t s = 0; s < segments.size(); ++s) {
+      const AttrZone& zone = segments[s].zones.attrs[attr];
+      if (zone.non_nan_count == 0) continue;
+      if (zone.max <= lo) {
+        known_below += zone.non_nan_count;
+      } else if (zone.min <= hi) {
+        decode->push_back(s);
       }
     }
-
-    std::vector<SegmentChunk> results = common::ParallelMap(
-        decode_plan.size(), [&](size_t i) {
-          SegmentChunk out;
-          std::string blob;
-          out.status = ReadFile(snapshot[decode_plan[i]].path, &blob);
-          if (!out.status.ok()) {
-            out.not_found =
-                out.status.code() == common::StatusCode::kNotFound;
-            return out;
-          }
-          auto decoded = DecodeSegment(blob);
-          if (!decoded.ok()) {
-            out.status = Status::IoError(
-                "corrupt sealed segment " + snapshot[decode_plan[i]].path +
-                ": " + decoded.status().message());
-            return out;
-          }
-          out.chunk = std::move(*decoded);
-          return out;
-        });
-    local.segments_decoded = decode_plan.size();
-
-    bool raced = false;
-    Status status;
-    std::vector<double> pool;
-    for (SegmentChunk& r : results) {
-      if (r.not_found) {
-        std::shared_lock lock(mu_);
-        if (generation != retention_generation_ &&
-            attempt + 1 < kMaxAttempts) {
-          raced = true;
-          scan_retries_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-        status = Status::IoError("sealed segment vanished mid-quantile: " +
-                                 r.status.message());
-        break;
-      }
-      if (!r.status.ok()) {
-        status = r.status;
-        break;
-      }
-      for (double v : r.chunk.column(attr).numeric_values()) {
-        if (std::isnan(v)) continue;
-        if (counts_known && v <= lo) {
-          ++known_below;
-        } else {
-          pool.push_back(v);
-        }
-      }
-    }
-    if (raced) continue;
-    DBSHERLOCK_RETURN_NOT_OK(status);
-    for (double a : active_vals) {
-      if (counts_known && a <= lo) {
+    return Status::OK();
+  };
+  auto whole = [](size_t, tsdata::Dataset decoded)
+      -> Result<tsdata::Dataset> { return decoded; };
+  ScanVisitor visitor;
+  visitor.on_chunk = [&](const tsdata::Dataset& chunk) {
+    for (double v : chunk.column(attr).numeric_values()) {
+      if (std::isnan(v)) continue;
+      if (v <= lo) {
         ++known_below;
       } else {
-        pool.push_back(a);
+        pool.push_back(v);
       }
     }
-    if (!counts_known) {
-      // Legacy path: everything was decoded; rank over the pool directly.
-      total = pool.size();
-      if (total == 0) {
-        return Status::FailedPrecondition("no non-NaN values stored for '" +
-                                          attribute + "'");
-      }
-      k = static_cast<uint64_t>(std::ceil(q * static_cast<double>(total)));
-      if (k < 1) k = 1;
-      if (k > total) k = total;
-      known_below = 0;
-    }
-    local.values_total = total;
-    local.rank = k;
-    if (k <= known_below || pool.size() < k - known_below) {
-      return Status::Internal("quantile bracket lost the order statistic ('" +
-                              attribute + "', rank " + std::to_string(k) +
-                              ")");
-    }
-    size_t target = static_cast<size_t>(k - known_below) - 1;
-    std::nth_element(pool.begin(), pool.begin() + target, pool.end());
-    metrics.GetCounter("store.quantile_segments_decoded")
-        ->Increment(local.segments_decoded);
-    if (stats != nullptr) *stats = local;
-    return pool[target];
+    return Status::OK();
+  };
+  ScanStats read;
+  DBSHERLOCK_RETURN_NOT_OK(ReadPipeline(plan, whole, visitor,
+                                        /*max_rows=*/0, /*parallelism=*/0,
+                                        &read));
+  if (k <= known_below || pool.size() < k - known_below) {
+    return Status::Internal("quantile bracket lost the order statistic ('" +
+                            attribute + "', rank " + std::to_string(k) +
+                            ")");
   }
+  size_t target = static_cast<size_t>(k - known_below) - 1;
+  std::nth_element(pool.begin(), pool.begin() + target, pool.end());
+  metrics.GetCounter("store.quantile_segments_decoded")
+      ->Increment(read.segments_decoded);
+  if (stats != nullptr) {
+    stats->segments_total = read.segments_total;
+    stats->segments_decoded = read.segments_decoded;
+    stats->values_total = total;
+    stats->rank = k;
+  }
+  return pool[target];
 }
 
 size_t TenantStore::num_segments() const {

@@ -209,14 +209,29 @@ class TenantStore {
  private:
   explicit TenantStore(Options options);
 
+  /// Picks what one read attempt decodes from a snapshot: snapshot
+  /// indices in ascending order into `plan`, and may rewrite `active` (the
+  /// snapshot's active tail) into the chunk delivered after the segments.
+  /// May record pruning in `stats`.
+  using ReadPlanner = std::function<common::Status(
+      const std::vector<SegmentInfo>& segments, tsdata::Dataset* active,
+      std::vector<size_t>* plan, ScanStats* stats)>;
+  /// Turns the decoded rows of the i-th planned segment into its chunk;
+  /// runs in the parallel decode stage.
+  using SegmentStep = std::function<common::Result<tsdata::Dataset>(
+      size_t i, tsdata::Dataset decoded)>;
+
   common::Status RecoverLocked();
   common::Status SealLocked();
   void EnforceRetentionLocked();
-  common::Status AppendRange(const tsdata::Dataset& src, double t0, double t1,
-                             tsdata::Dataset* dst) const;
-  common::Status ScanVisitOnce(const ScanOptions& options,
-                               const ScanVisitor& visitor, ScanStats* stats,
-                               bool* retention_raced) const;
+  /// The store's one read protocol (DESIGN.md §14): snapshot under the
+  /// shared lock, plan, decode in ordered batches outside it, deliver
+  /// chunks to `consumer` in order under the `max_rows` cap (0 = none),
+  /// and restart from a fresh snapshot when retention won a race.
+  common::Status ReadPipeline(const ReadPlanner& planner,
+                              const SegmentStep& step,
+                              const ScanVisitor& consumer, size_t max_rows,
+                              size_t parallelism, ScanStats* stats) const;
   double last_ts_locked() const;
 
   Options options_;
@@ -228,7 +243,7 @@ class TenantStore {
   uint64_t next_seq_ = 1;
   bool have_last_ts_ = false;
   double last_ts_ = 0.0;
-  /// Bumped once per retention unlink; a scan that hits a missing file
+  /// Bumped once per retention unlink; a read that hits a missing file
   /// re-checks this to tell a benign race from real data loss.
   uint64_t retention_generation_ = 0;
   // Cumulative seal accounting for the compression-ratio gauge; never

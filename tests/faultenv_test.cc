@@ -122,6 +122,21 @@ TEST_F(FaultenvTest, ShortWriteAndShortRead) {
   EXPECT_EQ(buf[0], 'a');
 }
 
+TEST_F(FaultenvTest, OpenStallsThenOpensAndOtherKindsFailWithEio) {
+  TempFd file;
+  ASSERT_GE(file.fd, 0);
+  ASSERT_TRUE(
+      faultenv::InstallSchedule("seg.open=stall@1,ms=1,limit=1;"
+                                "seg.open=eio@1,after=1")
+          .ok());
+  int fd = faultenv::Open("seg.open", file.path.c_str(), O_RDONLY);
+  EXPECT_GE(fd, 0);  // a stall sleeps, then opens normally
+  if (fd >= 0) ::close(fd);
+  EXPECT_EQ(faultenv::Open("seg.open", file.path.c_str(), O_RDONLY), -1);
+  EXPECT_EQ(errno, EIO);
+  EXPECT_EQ(faultenv::InjectedCount(), 2u);
+}
+
 TEST_F(FaultenvTest, ResetOnSocketsAndRefusedAtConnect) {
   ASSERT_TRUE(
       faultenv::InstallSchedule("srv.send=reset@1;cli.connect=reset@1")

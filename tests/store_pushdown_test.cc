@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -148,10 +149,24 @@ TEST(StorePushdownFuzzTest, PrunedScansAreBitIdenticalToFullDecode) {
   auto store =
       BuildStore(testing::TempDir() + "/dbsherlock_pushfuzz_parity",
                  /*seed=*/1234, /*rows=*/200, &first_ts, &last_ts);
+  ScanOptions history_opts;
+  history_opts.prune = false;
+  ScanStats history_stats;
+  auto history = store->ScanWithOptions(history_opts, &history_stats);
+  ASSERT_TRUE(history.ok()) << history.status().ToString();
+  // 200 rows = 12 sealed segments of 16 + an 8-row active tail.
+  const size_t kTailSizes[] = {0, 5, 8, 9, 24, 25, 100, 199, 200, 201, 1000};
   common::Pcg32 rng(77);
   for (int trial = 0; trial < 150; ++trial) {
     ScanOptions pruned_opts = RandomScan(&rng, first_ts, last_ts);
     std::string context = "trial " + std::to_string(trial);
+    // ScanTail(n) is the last n rows of the full-decode history.
+    size_t n = kTailSizes[trial % std::size(kTailSizes)];
+    auto tail = store->ScanTail(n);
+    ASSERT_TRUE(tail.ok()) << context << ": " << tail.status().ToString();
+    size_t rows = history->num_rows();
+    ExpectBitIdentical(history->Slice(rows - std::min(n, rows), rows), *tail,
+                       context + " tail " + std::to_string(n));
     ScanStats pruned_stats;
     auto pruned = store->ScanWithOptions(pruned_opts, &pruned_stats);
     ASSERT_TRUE(pruned.ok()) << context << ": "

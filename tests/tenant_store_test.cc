@@ -13,12 +13,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/faultenv.h"
+#include "common/metrics.h"
 #include "store/segment.h"
 #include "tsdata/dataset.h"
 
@@ -525,6 +527,46 @@ TEST(TenantStoreTest, V1SegmentsAreUpgradedInPlaceDuringRecovery) {
   EXPECT_EQ(again->recovery().segments_upgraded, 0u);
 }
 
+TEST(TenantStoreTest, FooterWithWrongAttributeCountIsRecomputedAtRecovery) {
+  std::string dir = StoreDir("footer_attrs");
+  std::string path;
+  {
+    auto store = MustOpen(SmallOptions(dir));
+    Fill(store.get(), 0, 10);  // one sealed segment, cpu = t
+    path = store->Manifest()[0].path;
+  }
+  // Swap in the CRC-valid footer of a one-attribute segment with the same
+  // row count whose cpu zone (100..109) excludes every real value.
+  Dataset other(Schema({{"cpu", AttributeKind::kNumeric}}));
+  for (int t = 0; t < 10; ++t) {
+    ASSERT_TRUE(other.AppendRow(t, {Cell(100.0 + t)}).ok());
+  }
+  std::string foreign = EncodeSegment(other);
+  std::string own = ReadFileOrDie(path);
+  size_t own_footer = own.size() - MakeV1(own).size();
+  size_t foreign_footer = foreign.size() - MakeV1(foreign).size();
+  WriteFileOrDie(path, own.substr(0, own.size() - own_footer) +
+                           foreign.substr(foreign.size() - foreign_footer));
+  auto zones = ReadSegmentZoneMap(ReadFileOrDie(path));
+  ASSERT_TRUE(zones.ok()) << zones.status().ToString();
+  ASSERT_EQ(zones->attrs.size(), 1u);
+
+  auto store = MustOpen(SmallOptions(dir));
+  EXPECT_EQ(store->recovery().segments_recovered, 1u);
+  ASSERT_EQ(store->Manifest()[0].zones.attrs.size(), 2u);
+  // Pruning and quantiles run on the zone map computed from the rows.
+  ScanOptions opts;
+  opts.bounds.push_back({"cpu", 0.0, 5.0});
+  ScanStats stats;
+  auto pruned = store->ScanWithOptions(opts, &stats);
+  ASSERT_TRUE(pruned.ok());
+  EXPECT_EQ(pruned->num_rows(), 6u);
+  QuantileStats qstats;
+  auto max = store->ResolveQuantile("cpu", 1.0, &qstats);
+  ASSERT_TRUE(max.ok());
+  EXPECT_DOUBLE_EQ(*max, 9.0);
+}
+
 TEST(TenantStoreTest, ZeroRowSegmentFilesAreDroppedAtRecovery) {
   std::string dir = StoreDir("emptyseg");
   {
@@ -572,27 +614,88 @@ TEST(TenantStoreTest, AppendsAreNotBlockedByASlowScan) {
   EXPECT_LT(append_ms, 300.0) << "appends blocked behind a stalled scan";
 }
 
-TEST(TenantStoreTest, ScanRetriesCleanlyWhenRetentionDeletesMidScan) {
-  auto store = MustOpen(SmallOptions(StoreDir("race")));
-  Fill(store.get(), 0, 50);  // 5 sealed segments
-  // Stall the scan's first segment read long enough for retention to
-  // unlink snapshotted segments underneath it.
-  ScopedSchedule schedule("seg.read=stall@1,ms=400,limit=1");
-  common::Status scan_status = common::Status::OK();
-  ScanStats stats;
-  std::thread scanner([&] {
-    ScanOptions opts;
-    auto r = store->ScanWithOptions(opts, &stats);
-    scan_status = r.status();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+uint64_t RetentionRetriesMetric() {
+  return common::MetricsRegistry::Global()
+      .GetCounter("store.scan_retention_retries")
+      ->value();
+}
+
+/// Runs `read` on its own thread against a store holding 5 sealed
+/// segments (t = 0..49) and makes retention win the race by design: the
+/// read's first segment open stalls *before* it opens, and only once that
+/// stall is injected — the read holds its snapshot but has not opened the
+/// file — does retention unlink every snapshotted segment. The open then
+/// hits ENOENT whatever the decode batch size or core count.
+void RaceRetention(TenantStore* store, const std::function<void()>& read) {
+  ScopedSchedule schedule("seg.open=stall@1,ms=1000,limit=1");
+  auto stalled = [] {
+    common::JsonValue stats = common::faultenv::StatsJson();
+    const common::JsonValue* site = stats.Find("seg.open");
+    return site != nullptr && site->GetNumber("injected").ValueOr(0) >= 1;
+  };
+  std::thread reader(read);
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!stalled() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(stalled()) << "the read never reached a segment open";
   store->SetRetention(/*retain_bytes=*/1, /*retain_age_sec=*/0.0);
-  Fill(store.get(), 50, 60);  // seal -> retention unlinks the old files
-  scanner.join();
-  // The scan retried against the new manifest instead of failing.
-  ASSERT_TRUE(scan_status.ok()) << scan_status.ToString();
-  EXPECT_GE(stats.retries, 1u);
-  EXPECT_GE(store->scan_retries(), 1u);
+  Fill(store, 50, 60);  // seal -> retention unlinks the old files
+  reader.join();
+}
+
+TEST(TenantStoreTest, ScanRetriesCleanlyWhenRetentionDeletesMidScan) {
+  for (size_t parallelism : {size_t{1}, size_t{0}}) {
+    SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+    auto store = MustOpen(
+        SmallOptions(StoreDir("race_scan" + std::to_string(parallelism))));
+    Fill(store.get(), 0, 50);  // 5 sealed segments
+    common::Status scan_status = common::Status::OK();
+    ScanStats stats;
+    size_t rows = 0;
+    RaceRetention(store.get(), [&] {
+      ScanOptions opts;
+      opts.parallelism = parallelism;
+      auto r = store->ScanWithOptions(opts, &stats);
+      scan_status = r.status();
+      if (r.ok()) rows = r->num_rows();
+    });
+    // The scan retried against the new manifest instead of failing.
+    ASSERT_TRUE(scan_status.ok()) << scan_status.ToString();
+    EXPECT_EQ(stats.retries, 1u);
+    EXPECT_EQ(store->scan_retries(), 1u);
+    EXPECT_EQ(rows, 10u);  // only the newest segment survived
+  }
+}
+
+TEST(TenantStoreTest, ScanTailRetriesCleanlyWhenRetentionDeletesMidRead) {
+  auto store = MustOpen(SmallOptions(StoreDir("race_tail")));
+  Fill(store.get(), 0, 50);
+  uint64_t metric_before = RetentionRetriesMetric();
+  common::Result<Dataset> tail = common::Status::Internal("not run");
+  RaceRetention(store.get(), [&] { tail = store->ScanTail(1000); });
+  ASSERT_TRUE(tail.ok()) << tail.status().ToString();
+  ASSERT_EQ(tail->num_rows(), 10u);
+  EXPECT_DOUBLE_EQ(tail->timestamp(0), 50.0);
+  EXPECT_EQ(store->scan_retries(), 1u);
+  EXPECT_EQ(RetentionRetriesMetric() - metric_before, 1u);
+}
+
+TEST(TenantStoreTest, QuantileRetriesCleanlyWhenRetentionDeletesMidRead) {
+  auto store = MustOpen(SmallOptions(StoreDir("race_quantile")));
+  Fill(store.get(), 0, 50);  // cpu = t: the median decodes one segment
+  uint64_t metric_before = RetentionRetriesMetric();
+  common::Result<double> median = common::Status::Internal("not run");
+  QuantileStats stats;
+  RaceRetention(store.get(), [&] {
+    median = store->ResolveQuantile("cpu", 0.5, &stats);
+  });
+  ASSERT_TRUE(median.ok()) << median.status().ToString();
+  // Re-resolved over the surviving rows t = 50..59: rank ceil(0.5*10).
+  EXPECT_DOUBLE_EQ(*median, 54.0);
+  EXPECT_EQ(stats.values_total, 10u);
+  EXPECT_EQ(store->scan_retries(), 1u);
+  EXPECT_EQ(RetentionRetriesMetric() - metric_before, 1u);
 }
 
 TEST(TenantStoreTest, SegmentVanishingOutsideRetentionIsAnIoError) {
