@@ -16,6 +16,7 @@
 
 #include "common/random.h"
 #include "common/simd/simd.h"
+#include "common/stats.h"
 #include "core/anomaly_detector.h"
 #include "core/predicate_generator.h"
 #include "eval/experiment.h"
@@ -214,6 +215,42 @@ void BM_AutomaticAnomalyDetection(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AutomaticAnomalyDetection);
+
+// The detector at the size dbsherlockd runs it: a StreamingMonitor window
+// of 600 rows x 50 attributes, every detect_every rows per tenant and once
+// per EXPLAINQ/DIAGNOSE_RANGE.
+void BM_AutomaticAnomalyDetection_MonitorWindow(benchmark::State& state) {
+  static const simulator::GeneratedDataset* ds = [] {
+    simulator::DatasetGenOptions options;
+    options.seed = 42;
+    options.normal_duration_sec = 560.0;
+    return new simulator::GeneratedDataset(simulator::GenerateAnomalyDataset(
+        options, simulator::AnomalyKind::kIoSaturation, 40.0));
+  }();
+  core::AnomalyDetectorOptions options;
+  for (auto _ : state) {
+    auto result = core::DetectAnomalies(ds->data, options);
+    benchmark::DoNotOptimize(result);
+  }
+  state.counters["rows"] = static_cast<double>(ds->data.num_rows());
+  state.counters["attributes"] =
+      static_cast<double>(ds->data.num_attributes());
+}
+BENCHMARK(BM_AutomaticAnomalyDetection_MonitorWindow)
+    ->Unit(benchmark::kMillisecond);
+
+// The potential-power median filter (tau = 20) over one attribute.
+void BM_SlidingMedian(benchmark::State& state) {
+  common::Pcg32 rng(99);
+  std::vector<double> xs(static_cast<size_t>(state.range(0)));
+  for (double& x : xs) x = rng.NextDouble();
+  for (auto _ : state) {
+    std::vector<double> medians = common::SlidingMedian(xs, 20);
+    benchmark::DoNotOptimize(medians);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SlidingMedian)->Arg(600)->Arg(4096);
 
 void BM_SimulatorTick(benchmark::State& state) {
   simulator::ServerSimulator sim(simulator::ServerConfig{},

@@ -92,10 +92,46 @@ std::vector<double> SlidingMedian(std::span<const double> xs, size_t w) {
   std::vector<double> out;
   if (w == 0 || xs.size() < w) return out;
   out.reserve(xs.size() - w + 1);
-  // Windows here are short (the paper uses tau = 20), so re-computing the
-  // median per window is fine: O(n * w log w) with tiny constants.
-  for (size_t i = 0; i + w <= xs.size(); ++i) {
-    out.push_back(Median(xs.subspan(i, w)));
+  // One sorted copy of the window: each step erases the value that leaves
+  // and inserts the one that enters, O(w) element moves. The median is
+  // read with Median()'s own formula, so each entry is bit-identical to
+  // Median(xs.subspan(i, w)).
+  // NaN has no place in the order, and -0.0 == +0.0 makes which zero
+  // Median() lands on depend on its element movement; those values stay
+  // out of the sorted copy, and a window holding one goes to Median().
+  auto ordered = [](double v) {
+    return !std::isnan(v) && !(v == 0.0 && std::signbit(v));
+  };
+  std::vector<double> win;
+  win.reserve(w);
+  size_t unordered = 0;
+  auto enter = [&](double v) {
+    if (ordered(v)) {
+      win.insert(std::upper_bound(win.begin(), win.end(), v), v);
+    } else {
+      ++unordered;
+    }
+  };
+  auto leave = [&](double v) {
+    if (ordered(v)) {
+      win.erase(std::lower_bound(win.begin(), win.end(), v));
+    } else {
+      --unordered;
+    }
+  };
+  for (size_t i = 0; i < w; ++i) enter(xs[i]);
+  const size_t mid = w / 2;
+  for (size_t i = 0;; ++i) {
+    if (unordered > 0) {
+      out.push_back(Median(xs.subspan(i, w)));
+    } else if (w % 2 == 1) {
+      out.push_back(win[mid]);
+    } else {
+      out.push_back(0.5 * (win[mid - 1] + win[mid]));
+    }
+    if (i + w == xs.size()) break;
+    leave(xs[i]);
+    enter(xs[i + w]);
   }
   return out;
 }

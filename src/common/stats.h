@@ -37,7 +37,8 @@ std::vector<double> MinMaxNormalize(std::span<const double> xs);
 
 /// Sliding-window medians of window size `w` (the median filter used by the
 /// potential-power computation of Section 7). Output has
-/// max(0, xs.size() - w + 1) entries; entry i is the median of xs[i, i+w).
+/// max(0, xs.size() - w + 1) entries; entry i is bit-identical to
+/// Median(xs.subspan(i, w)). O(n * w) for the whole series.
 std::vector<double> SlidingMedian(std::span<const double> xs, size_t w);
 
 /// A fixed-width 1-D histogram over [lo, hi] with `bins` buckets. Values

@@ -105,17 +105,16 @@ namespace {
 
 /// Batch neighbor query: one kernel sweep fills `dist_sq` with point p's
 /// squared distances to every point, then the eps-ball is read off the
-/// buffer (self excluded by index, exactly like the row-major form).
-std::vector<size_t> NeighborsColumns(const PointColumns& points, size_t p,
-                                     double eps_sq,
-                                     std::vector<double>* dist_sq) {
+/// buffer into `out` (self excluded by index, exactly like the row-major
+/// form).
+void NeighborsColumns(const PointColumns& points, size_t p, double eps_sq,
+                      std::vector<double>* dist_sq, std::vector<size_t>* out) {
   common::simd::SquaredDistancesToAll(points.columns.data(), points.dims(),
                                       points.num_points, p, dist_sq->data());
-  std::vector<size_t> out;
+  out->clear();
   for (size_t q = 0; q < points.num_points; ++q) {
-    if (q != p && (*dist_sq)[q] <= eps_sq) out.push_back(q);
+    if (q != p && (*dist_sq)[q] <= eps_sq) out->push_back(q);
   }
-  return out;
 }
 
 }  // namespace
@@ -123,34 +122,48 @@ std::vector<size_t> NeighborsColumns(const PointColumns& points, size_t p,
 DbscanResult Dbscan(const PointColumns& points, double eps, int min_pts) {
   DbscanResult result;
   const size_t n = points.num_points;
+  constexpr int kQueued = -3;
   constexpr int kUnvisited = -2;
   constexpr int kNoise = -1;
   result.cluster_of.assign(n, kUnvisited);
   double eps_sq = eps * eps;
   int cluster = 0;
   std::vector<double> dist_sq(n, 0.0);
+  std::vector<size_t> neighbors;
+  std::vector<size_t> queue;
+  // Each point enters a cluster's queue once, when first seen: unvisited
+  // points are marked queued, noise points become border points of the
+  // cluster on the spot. The row-major form pushes every neighbor of every
+  // core point and skips repeats when popping them; those skips were the
+  // only effect of its pop-time checks, so the labels are the same.
+  auto enqueue_neighbors = [&] {
+    for (size_t r : neighbors) {
+      int& label = result.cluster_of[r];
+      if (label == kUnvisited) {
+        label = kQueued;
+        queue.push_back(r);
+      } else if (label == kNoise) {
+        label = cluster;  // border point
+      }
+    }
+  };
 
   for (size_t p = 0; p < n; ++p) {
     if (result.cluster_of[p] != kUnvisited) continue;
-    std::vector<size_t> seeds = NeighborsColumns(points, p, eps_sq, &dist_sq);
-    if (static_cast<int>(seeds.size()) + 1 < min_pts) {
+    NeighborsColumns(points, p, eps_sq, &dist_sq, &neighbors);
+    if (static_cast<int>(neighbors.size()) + 1 < min_pts) {
       result.cluster_of[p] = kNoise;
       continue;
     }
     result.cluster_of[p] = cluster;
-    std::deque<size_t> queue(seeds.begin(), seeds.end());
-    while (!queue.empty()) {
-      size_t q = queue.front();
-      queue.pop_front();
-      if (result.cluster_of[q] == kNoise) {
-        result.cluster_of[q] = cluster;  // border point
-      }
-      if (result.cluster_of[q] != kUnvisited) continue;
+    queue.clear();
+    enqueue_neighbors();
+    for (size_t head = 0; head < queue.size(); ++head) {
+      size_t q = queue[head];
       result.cluster_of[q] = cluster;
-      std::vector<size_t> q_neighbors =
-          NeighborsColumns(points, q, eps_sq, &dist_sq);
-      if (static_cast<int>(q_neighbors.size()) + 1 >= min_pts) {
-        for (size_t r : q_neighbors) queue.push_back(r);
+      NeighborsColumns(points, q, eps_sq, &dist_sq, &neighbors);
+      if (static_cast<int>(neighbors.size()) + 1 >= min_pts) {
+        enqueue_neighbors();
       }
     }
     ++cluster;
@@ -162,25 +175,31 @@ DbscanResult Dbscan(const PointColumns& points, double eps, int min_pts) {
 std::vector<double> KDistances(const PointColumns& points, int k) {
   const size_t n = points.num_points;
   std::vector<double> out(n, 0.0);
-  if (k <= 0 || n == 0) return out;
+  if (k <= 0 || n < 2) return out;
+  // The k-th nearest other point is the last of the min(k, n-1) smallest
+  // distances, kept in a sorted buffer of that size: almost every distance
+  // costs one compare. Equal distances are equal bits, so which one fills a
+  // slot does not matter. Self is excluded by index (its computed distance
+  // is exactly 0, but dropping it by value would also drop genuine
+  // duplicate points and shift the k-dist rank).
+  const size_t keep = std::min<size_t>(static_cast<size_t>(k), n - 1);
   std::vector<double> dist_sq(n, 0.0);
-  std::vector<double> dists;
+  std::vector<double> nearest;
+  nearest.reserve(keep);
   for (size_t p = 0; p < n; ++p) {
     common::simd::SquaredDistancesToAll(points.columns.data(), points.dims(),
                                         n, p, dist_sq.data());
-    dists.clear();
-    dists.reserve(n - 1);
-    // Self is excluded by index (its computed distance is exactly 0, but
-    // dropping it by value would also drop genuine duplicate points and
-    // shift the k-dist rank).
+    nearest.clear();
     for (size_t q = 0; q < n; ++q) {
-      if (q != p) dists.push_back(dist_sq[q]);
+      if (q == p) continue;
+      double d = dist_sq[q];
+      if (nearest.size() == keep) {
+        if (!(d < nearest.back())) continue;
+        nearest.pop_back();
+      }
+      nearest.insert(std::upper_bound(nearest.begin(), nearest.end(), d), d);
     }
-    if (dists.empty()) continue;
-    size_t rank = std::min<size_t>(static_cast<size_t>(k) - 1,
-                                   dists.size() - 1);
-    std::nth_element(dists.begin(), dists.begin() + rank, dists.end());
-    out[p] = std::sqrt(dists[rank]);
+    out[p] = std::sqrt(nearest.back());
   }
   return out;
 }

@@ -42,7 +42,8 @@ struct PointColumns {
 /// Batch forms over the dimension-major layout: one kernel sweep computes
 /// a query point's distances to all points. Same arithmetic per point pair
 /// (coordinates accumulate in dimension order) as the row-major forms, so
-/// clusterings are identical.
+/// on NaN-free points (the detector fills non-finite cells) k-distances and
+/// clusterings are bit-identical to them.
 DbscanResult Dbscan(const PointColumns& points, double eps, int min_pts);
 std::vector<double> KDistances(const PointColumns& points, int k);
 

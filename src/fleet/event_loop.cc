@@ -24,6 +24,8 @@ using common::Status;
 
 constexpr uint64_t kListenId = 0;
 constexpr uint64_t kWakeId = 1;
+/// Output-buffer capacity a connection keeps once fully flushed.
+constexpr size_t kMaxIdleOutbufCapacity = 64 << 10;
 
 int64_t NowMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -299,16 +301,20 @@ void EventLoop::Pump(Connection* conn) {
     }
     bool quit = false;
     std::string response = options_.handler(line, &quit);
-    QueueResponse(conn, response, quit);
+    QueueResponse(conn, std::move(response), quit);
   }
   FlushOut(conn);
 }
 
-void EventLoop::QueueResponse(Connection* conn, const std::string& response,
+void EventLoop::QueueResponse(Connection* conn, std::string response,
                               bool quit) {
-  conn->outbuf += response;
-  conn->outbuf += '\n';
   write_buffered_bytes_ += response.size() + 1;
+  if (conn->outbuf.empty()) {
+    conn->outbuf = std::move(response);
+  } else {
+    conn->outbuf += response;
+  }
+  conn->outbuf += '\n';
   if (quit) {
     conn->close_after_flush = true;
     conn->pending.clear();
@@ -328,6 +334,11 @@ void EventLoop::FlushOut(Connection* conn) {
     }
     write_buffered_bytes_ -= static_cast<size_t>(w);
     conn->outbuf.erase(0, static_cast<size_t>(w));
+  }
+  // A large response moved in as the buffer; do not keep its capacity
+  // for the small lines that usually follow on the connection.
+  if (conn->outbuf.capacity() > kMaxIdleOutbufCapacity) {
+    std::string().swap(conn->outbuf);
   }
   if (!conn->in_flight &&
       (conn->close_after_flush || (conn->eof && conn->pending.empty()))) {
@@ -415,7 +426,7 @@ void EventLoop::ApplyCompletions() {
           ->Set(static_cast<double>(connections_.size()));
       continue;
     }
-    QueueResponse(conn, c.response, c.quit);
+    QueueResponse(conn, std::move(c.response), c.quit);
     Pump(conn);
   }
   UpdateBufferGauges();

@@ -120,8 +120,7 @@ class EventLoop {
   /// Dispatches pending lines until one goes in flight (offload) or the
   /// queue empties, then flushes the output buffer.
   void Pump(Connection* conn);
-  void QueueResponse(Connection* conn, const std::string& response,
-                     bool quit);
+  void QueueResponse(Connection* conn, std::string response, bool quit);
   void FlushOut(Connection* conn);
   void CloseConnection(uint64_t id);
   void SweepIdle();

@@ -181,7 +181,8 @@ size_t Router::AssignShard(const std::string& tenant, bool is_hello) {
 
 std::string Router::Proxy(size_t idx, const std::string& line,
                           bool idempotent,
-                          const std::string& failover_tenant) {
+                          const std::string& failover_tenant,
+                          bool may_outlast_deadline) {
   int attempts = std::max(1, options_.max_upstream_attempts);
   Status last = Status::IoError("no upstream attempt made");
   for (int attempt = 0; attempt < attempts; ++attempt) {
@@ -206,9 +207,16 @@ std::string Router::Proxy(size_t idx, const std::string& line,
         if (raw.ok()) {
           MarkUp(shard);
           Release(shard, std::move(*client));
-          return *raw;
+          return std::move(*raw);
         }
         last = raw.status();  // broken connection: let the client drop
+        if (may_outlast_deadline &&
+            last.code() == common::StatusCode::kDeadlineExceeded) {
+          // A healthy shard still working on a long request (FLUSH waits
+          // for the tenant's drain). Neither a shard failure nor worth a
+          // retry; the connection drops because its reply is pending.
+          return service::ErrLine(last);
+        }
       } else {
         last = client.status();
       }
@@ -270,7 +278,11 @@ std::string Router::HandleLine(const std::string& line, bool* quit) {
       return Proxy(idx, line, request.has_client_seq,
                    /*failover_tenant=*/"");
     }
-    case RequestOp::kFlush:
+    case RequestOp::kFlush: {
+      size_t idx = AssignShard(request.tenant, /*is_hello=*/false);
+      return Proxy(idx, line, /*idempotent=*/true, /*failover_tenant=*/"",
+                   /*may_outlast_deadline=*/true);
+    }
     case RequestOp::kDiagnoses:
     case RequestOp::kQuery:
     case RequestOp::kDiagnoseRange:

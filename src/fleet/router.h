@@ -125,9 +125,11 @@ class Router {
   /// Tenant verb routing: sticky assignment, HELLO-time failover.
   size_t AssignShard(const std::string& tenant, bool is_hello);
   /// Proxies `line` to shard `idx`; retries (and, for HELLO, fails over
-  /// across the ring) when `idempotent`.
+  /// across the ring) when `idempotent`. With `may_outlast_deadline`, an
+  /// upstream deadline is returned as-is: no retry, shard not marked down.
   std::string Proxy(size_t idx, const std::string& line, bool idempotent,
-                    const std::string& failover_tenant);
+                    const std::string& failover_tenant,
+                    bool may_outlast_deadline = false);
   common::Result<std::unique_ptr<service::Client>> Acquire(Shard& shard);
   void Release(Shard& shard, std::unique_ptr<service::Client> client);
   bool IsDown(const Shard& shard) const;

@@ -229,7 +229,8 @@ void Server::HandleConnection(int fd) {
         break;
       }
       std::string response = HandleLine(line, &quit);
-      if (!SendAll(fd, response + "\n").ok()) {
+      response += '\n';
+      if (!SendAll(fd, response).ok()) {
         quit = true;
         break;
       }

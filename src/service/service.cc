@@ -98,8 +98,11 @@ Status Service::Hello(
 Result<Service::AppendOutcome> Service::Append(
     const std::string& tenant, double timestamp,
     std::vector<tsdata::Cell> cells, std::optional<uint64_t> client_seq) {
-  common::ScopedLatency timer(
-      common::MetricsRegistry::Global().GetHistogram("service.append_us"));
+  static common::LatencyHistogram* const append_us =
+      common::MetricsRegistry::Global().GetHistogram("service.append_us");
+  static common::Counter* const rows_acked =
+      common::MetricsRegistry::Global().GetCounter("service.rows_acked");
+  common::ScopedLatency timer(append_us);
   if (!accepting_.load()) {
     return Status::FailedPrecondition("service is stopping");
   }
@@ -142,9 +145,7 @@ Result<Service::AppendOutcome> Service::Append(
     outcome.accepted = true;
     outcome.seq = ++t->acked;
     if (client_seq.has_value()) t->last_client_seq = *client_seq;
-    common::MetricsRegistry::Global()
-        .GetGauge("service.queue_depth." + t->name)
-        ->Set(static_cast<double>(t->queue.size()));
+    t->queue_depth->Set(static_cast<double>(t->queue.size()));
     if (!t->scheduled) {
       // Whoever flips scheduled pushes to ready_ — the single-drainer
       // hand-off that keeps monitor access serialized.
@@ -153,9 +154,7 @@ Result<Service::AppendOutcome> Service::Append(
     }
   }
   total_acked_.fetch_add(1, std::memory_order_relaxed);
-  common::MetricsRegistry::Global()
-      .GetCounter("service.rows_acked")
-      ->Increment();
+  rows_acked->Increment();
   if (must_schedule) {
     std::lock_guard lock(ready_mu_);
     ready_.push_back(std::move(t));
@@ -199,8 +198,6 @@ void Service::IngestWorker() {
 void Service::DrainTenant(const std::shared_ptr<Tenant>& tenant) {
   TRACE_SPAN("service.drain_tenant");
   auto& metrics = common::MetricsRegistry::Global();
-  common::Gauge* depth =
-      metrics.GetGauge("service.queue_depth." + tenant->name);
   for (;;) {
     std::vector<PendingRow> batch;
     {
@@ -217,7 +214,7 @@ void Service::DrainTenant(const std::shared_ptr<Tenant>& tenant) {
       tenant->queue.erase(tenant->queue.begin(),
                           tenant->queue.begin() + n);
       tenant->in_process += n;
-      depth->Set(static_cast<double>(tenant->queue.size()));
+      tenant->queue_depth->Set(static_cast<double>(tenant->queue.size()));
     }
     for (PendingRow& row : batch) {
       if (options_.process_delay_us > 0) {

@@ -43,6 +43,8 @@ Result<std::shared_ptr<Tenant>> TenantManager::Hello(
 
   auto tenant = std::make_shared<Tenant>(name);
   tenant->schema = schema;
+  tenant->queue_depth = common::MetricsRegistry::Global().GetGauge(
+      "service.queue_depth." + name);
   core::StreamingMonitor::Options monitor_options = options_.monitor;
   // The service diagnoses on its own worker pool; the drain thread must
   // never block on a full Diagnose. Metrics are labeled per tenant so

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "core/streaming_monitor.h"
 #include "store/tenant_store.h"
@@ -72,6 +73,9 @@ struct Tenant {
   /// strictly-increasing-timestamp rule instead.
   uint64_t last_client_seq = 0;
   bool evicted = false;     // tombstone: manager dropped it; re-HELLO
+  /// Registry gauge service.queue_depth.<name>, resolved once at HELLO so
+  /// the per-row path takes no registry lock. Written under mu.
+  common::Gauge* queue_depth = nullptr;
 
   /// Created on HELLO with diagnose_inline = false and metric_label =
   /// tenant name. Single-drainer access only (see above).

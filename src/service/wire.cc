@@ -385,8 +385,11 @@ Result<Request> ParseRequestLine(const std::string& line_in) {
   return Status::InvalidArgument("unknown verb: " + verb);
 }
 
-std::string OkLine(const std::string& detail) {
-  return detail.empty() ? "OK" : "OK " + detail;
+std::string OkLine(std::string detail) {
+  // Prefixed in place: a multi-megabyte QUERY detail is not copied again.
+  if (detail.empty()) return "OK";
+  detail.insert(0, "OK ");
+  return detail;
 }
 
 std::string RetryAfterLine(int millis) {

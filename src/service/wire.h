@@ -161,7 +161,7 @@ common::Result<tsdata::Schema> ParseSchemaSpec(const std::string& spec);
 std::string FormatCell(const tsdata::Cell& cell);
 
 /// Response lines (without the trailing newline).
-std::string OkLine(const std::string& detail = "");
+std::string OkLine(std::string detail = "");
 std::string RetryAfterLine(int millis);
 std::string ErrLine(const common::Status& status);
 

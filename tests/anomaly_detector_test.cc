@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/random.h"
 #include "common/stats.h"
+#include "simulator/dataset_gen.h"
 
 namespace dbsherlock::core {
 namespace {
@@ -199,6 +206,54 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(DetectParam{50, 40}, DetectParam{200, 60},
                       DetectParam{450, 80}, DetectParam{520, 50},
                       DetectParam{30, 100}));
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// A fixture recorded from the original per-window-median / copy-and-select
+// / push-every-neighbor detector, on one daemon-sized monitor window (640
+// simulated rows x 50 attributes, I/O saturation at 300-340 s). The
+// detector's cheaper algorithms must reproduce it bit for bit, on both the
+// batch and the row-major path.
+TEST(DetectAnomaliesTest, MonitorWindowMatchesRecordedFixture) {
+  simulator::DatasetGenOptions gen;
+  gen.seed = 1007;
+  gen.normal_duration_sec = 600.0;
+  simulator::GeneratedDataset ds = simulator::GenerateAnomalyDataset(
+      gen, simulator::AnomalyKind::kIoSaturation, 40.0);
+  ASSERT_EQ(ds.data.num_rows(), 640u);
+  ASSERT_EQ(ds.data.num_attributes(), 50u);
+
+  const std::vector<size_t> want_rows = {
+      249, 254, 300, 301, 302, 303, 304, 309, 310, 311, 312,
+      313, 314, 315, 317, 318, 319, 320, 322, 323, 325, 326,
+      327, 328, 329, 330, 331, 337, 338, 339, 449, 454};
+  const std::vector<std::pair<uint64_t, uint64_t>> want_ranges = {
+      {0x406f200000000000, 0x406fe00000000000},
+      {0x4072c00000000000, 0x4074c00000000000},
+      {0x4075100000000000, 0x4075400000000000},
+      {0x407c100000000000, 0x407c700000000000}};
+  const std::vector<std::string> want_selected = {
+      "os_cpu_iowait",    "os_context_switches", "disk_write_iops",
+      "disk_write_kb",    "disk_queue_depth",    "disk_util"};
+  for (bool batch : {true, false}) {
+    SCOPED_TRACE(batch ? "batch kernels" : "row-major reference");
+    AnomalyDetectorOptions options;
+    options.use_batch_kernels = batch;
+    DetectionResult result = DetectAnomalies(ds.data, options);
+    EXPECT_EQ(Bits(result.epsilon), 0x3fccad0e07f6fa20u);
+    EXPECT_EQ(result.abnormal_rows, want_rows);
+    EXPECT_EQ(result.selected_attributes, want_selected);
+    ASSERT_EQ(result.abnormal.ranges().size(), want_ranges.size());
+    for (size_t i = 0; i < want_ranges.size(); ++i) {
+      EXPECT_EQ(Bits(result.abnormal.ranges()[i].start), want_ranges[i].first);
+      EXPECT_EQ(Bits(result.abnormal.ranges()[i].end), want_ranges[i].second);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace dbsherlock::core

@@ -184,6 +184,64 @@ TEST(FleetRouterE2eTest, ModelSyncConvergesFromPeerShard) {
   (void)(*reader)->Quit();
 }
 
+// A FLUSH whose drain outlasts the router's upstream deadline is a slow
+// request to a healthy shard, not a shard failure: the caller gets the
+// deadline error, and neither this tenant nor any other on the shard is
+// failed fast by an open circuit breaker afterwards.
+TEST(FleetRouterE2eTest, SlowFlushDoesNotTripCircuitBreaker) {
+  DaemonProcess shard;
+  DaemonProcess::Options shard_options;
+  shard_options.binary = DBSHERLOCK_DAEMON_PATH;
+  shard_options.command = "serve";
+  shard_options.args = {"--port", "0", "--io-mode", "epoll",
+                        "--process-delay-us", "20000"};
+  ASSERT_TRUE(shard.Start(shard_options).ok());
+  DaemonProcess router;
+  DaemonProcess::Options router_options;
+  router_options.binary = DBSHERLOCK_DAEMON_PATH;
+  router_options.command = "route";
+  router_options.args = {"--port", "0", "--shards", Addr(shard),
+                         "--upstream-deadline-ms", "300",
+                         "--upstream-attempts", "2",
+                         "--down-cooldown-ms", "10000"};
+  ASSERT_TRUE(router.Start(router_options).ok());
+
+  auto client = service::Client::Connect("127.0.0.1", router.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  tsdata::Schema schema({{"latency", tsdata::AttributeKind::kNumeric}});
+  ASSERT_TRUE((*client)->Hello("backlogged", schema).ok());
+  ASSERT_TRUE((*client)->Hello("bystander", schema).ok());
+  // 40 rows at 20 ms each: an 800 ms drain behind a 300 ms deadline.
+  for (uint64_t seq = 1; seq <= 40; ++seq) {
+    auto acked = (*client)->AppendSeq("backlogged", seq,
+                                      static_cast<double>(seq), {10.0});
+    ASSERT_TRUE(acked.ok()) << acked.status().ToString();
+    ASSERT_EQ(acked->kind, service::Response::Kind::kOk) << seq;
+  }
+  common::Status flushed = (*client)->Flush("backlogged");
+  EXPECT_EQ(flushed.code(), common::StatusCode::kDeadlineExceeded)
+      << flushed.ToString();
+
+  auto other = (*client)->AppendSeq("bystander", 1, 1.0, {10.0});
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  EXPECT_EQ(other->kind, service::Response::Kind::kOk)
+      << "the slow FLUSH opened the breaker on a healthy shard";
+
+  auto stats = (*client)->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const common::JsonValue* router_json = stats->Find("router");
+  ASSERT_NE(router_json, nullptr);
+  const common::JsonValue* per_shard = router_json->Find("per_shard");
+  ASSERT_NE(per_shard, nullptr);
+  const common::JsonValue* entry = per_shard->Find(Addr(shard));
+  ASSERT_NE(entry, nullptr);
+  const common::JsonValue* down = entry->Find("down");
+  ASSERT_TRUE(down != nullptr && down->is_bool());
+  EXPECT_FALSE(down->as_bool());
+  EXPECT_EQ(entry->GetNumber("failures").ValueOr(-1), 0.0);
+  (void)(*client)->Quit();
+}
+
 std::string ShardStoreDir(const std::string& name) {
   std::string dir = common::StrFormat("%s/dbsherlock_fleet_dql_%d_%s",
                                       testing::TempDir().c_str(),

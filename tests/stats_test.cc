@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/random.h"
@@ -86,6 +89,51 @@ TEST(SlidingMedianTest, WindowLargerThanInput) {
   std::vector<double> xs{1, 2};
   EXPECT_TRUE(SlidingMedian(xs, 3).empty());
   EXPECT_TRUE(SlidingMedian(xs, 0).empty());
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+// SlidingMedian keeps one sorted window instead of a selection per window;
+// every entry must still carry exactly the bits of Median() on that window.
+// Series are continuous, tied (a small alphabet), tied with both signs of
+// zero, and hostile (NaN, infinities), over every length 0-300.
+TEST(SlidingMedianTest, BitIdenticalToPerWindowMedian) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> alphabets = {
+      {},  // continuous: Gaussian draws
+      {0.0, 1.0, 1.5, -2.0, 0.25},
+      {0.0, -0.0, 1.0, -1.0, 0.5},
+      {0.0, -0.0, 1.0, nan, inf, -inf, 3.0},
+  };
+  Pcg32 rng(0x5eed);
+  for (size_t n = 0; n <= 300; ++n) {
+    for (const std::vector<double>& alphabet : alphabets) {
+      std::vector<double> xs(n);
+      for (double& x : xs) {
+        x = alphabet.empty()
+                ? rng.NextGaussian()
+                : alphabet[rng.NextBounded(
+                      static_cast<uint32_t>(alphabet.size()))];
+      }
+      for (size_t w : {size_t{1}, size_t{2}, size_t{3}, size_t{19},
+                       size_t{20}, size_t{21}, n}) {
+        std::vector<double> got = SlidingMedian(xs, w);
+        size_t expected_size = (w == 0 || n < w) ? 0 : n - w + 1;
+        ASSERT_EQ(got.size(), expected_size) << "n=" << n << " w=" << w;
+        std::span<const double> all(xs);
+        for (size_t i = 0; i < got.size(); ++i) {
+          ASSERT_EQ(Bits(got[i]), Bits(Median(all.subspan(i, w))))
+              << "n=" << n << " w=" << w << " window=" << i
+              << " alphabet=" << alphabet.size();
+        }
+      }
+    }
+  }
 }
 
 TEST(HistogramTest, BinningAndCounts) {

@@ -12,11 +12,17 @@
 // the WAL is intact. Exit codes match the dbsherlock CLI (0 ok, 2 usage,
 // 3..9 one per StatusCode).
 
+#include <pthread.h>
+
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <string>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "common/faultenv.h"
 #include "common/metrics.h"
@@ -97,6 +103,37 @@ int ExitCodeFor(const common::Status& status) {
 
 volatile std::sig_atomic_t g_stop = 0;
 void HandleSignal(int) { g_stop = 1; }
+
+/// The signal mask from before BlockStopSignals; WaitForStopSignal sleeps
+/// with it, so SIGINT/SIGTERM are open only inside its sigsuspend.
+sigset_t g_wait_mask;
+
+/// Installs the stop handler and blocks SIGINT/SIGTERM while the process
+/// is still single-threaded. Every thread started later inherits the
+/// block, so only the main thread can take a stop signal, and only while
+/// it sleeps in WaitForStopSignal. A handler run on any other thread sets
+/// g_stop without waking the main thread, which then never shuts down.
+void BlockStopSignals() {
+  struct sigaction action {};
+  action.sa_handler = HandleSignal;
+  sigaction(SIGINT, &action, nullptr);
+  sigaction(SIGTERM, &action, nullptr);
+  sigset_t block;
+  sigemptyset(&block);
+  sigaddset(&block, SIGINT);
+  sigaddset(&block, SIGTERM);
+  pthread_sigmask(SIG_BLOCK, &block, &g_wait_mask);
+}
+
+/// Sleeps until SIGINT/SIGTERM. g_stop is tested with the signals blocked
+/// and sigsuspend unblocks them atomically, so no signal is lost between
+/// the test and the sleep.
+void WaitForStopSignal() {
+  while (g_stop == 0) {
+    sigsuspend(&g_wait_mask);
+  }
+  pthread_sigmask(SIG_SETMASK, &g_wait_mask, nullptr);
+}
 
 int Usage() {
   std::fprintf(
@@ -297,23 +334,7 @@ int CmdServe(const Args& args) {
   std::printf("LISTENING %d\n", (*server)->port());
   std::fflush(stdout);
 
-  struct sigaction action {};
-  action.sa_handler = HandleSignal;
-  sigaction(SIGINT, &action, nullptr);
-  sigaction(SIGTERM, &action, nullptr);
-
-  // Block the stop signals while testing g_stop, and atomically unblock
-  // inside sigsuspend — the classic pattern that closes the
-  // check-then-sleep race.
-  sigset_t block, old;
-  sigemptyset(&block);
-  sigaddset(&block, SIGINT);
-  sigaddset(&block, SIGTERM);
-  sigprocmask(SIG_BLOCK, &block, &old);
-  while (g_stop == 0) {
-    sigsuspend(&old);
-  }
-  sigprocmask(SIG_SETMASK, &old, nullptr);
+  WaitForStopSignal();
 
   std::fprintf(stderr, "shutting down: draining tenants...\n");
   if (puller != nullptr) puller->Stop();
@@ -372,19 +393,7 @@ int CmdRoute(const Args& args) {
   std::printf("LISTENING %d\n", (*router)->port());
   std::fflush(stdout);
 
-  struct sigaction action {};
-  action.sa_handler = HandleSignal;
-  sigaction(SIGINT, &action, nullptr);
-  sigaction(SIGTERM, &action, nullptr);
-  sigset_t block, old;
-  sigemptyset(&block);
-  sigaddset(&block, SIGINT);
-  sigaddset(&block, SIGTERM);
-  sigprocmask(SIG_BLOCK, &block, &old);
-  while (g_stop == 0) {
-    sigsuspend(&old);
-  }
-  sigprocmask(SIG_SETMASK, &old, nullptr);
+  WaitForStopSignal();
 
   std::fprintf(stderr, "router shutting down\n");
   for (const auto& stats : (*router)->shard_stats()) {
@@ -401,12 +410,29 @@ int CmdRoute(const Args& args) {
   return WriteMetricsOutputs(args);
 }
 
+/// Response strings of a large QUERY (~1 MB) are built and freed on
+/// handler threads. glibc raises its mmap threshold to the largest block
+/// freed so far, so after one such response every later one comes from a
+/// per-thread arena that keeps the freed pages, and resident memory climbs
+/// with each request. A fixed threshold keeps blocks this large on mmap,
+/// returned to the kernel on free (DESIGN.md §10).
+void FixMmapThreshold() {
+#if defined(__GLIBC__)
+  constexpr int kMmapThresholdBytes = 256 << 10;
+  mallopt(M_MMAP_THRESHOLD, kMmapThresholdBytes);
+#endif
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   std::string command = argv[1];
   Args args(argc, argv, 2);
+  if (command == "serve" || command == "route") {
+    FixMmapThreshold();
+    BlockStopSignals();
+  }
   if (command == "serve") return CmdServe(args);
   if (command == "route") return CmdRoute(args);
   return Usage();
