@@ -68,7 +68,6 @@ common::Result<fleet::FleetReplayResult> RunFleetPoint(
 
     service::Server::Options server_options;
     server_options.port = 0;
-    server_options.io_mode = service::IoMode::kEpoll;
     server_options.handler_threads = 2;
     server_options.max_connections = config.client_threads + 16;
     server_options.service = services.back().get();

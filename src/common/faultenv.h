@@ -26,7 +26,8 @@ namespace dbsherlock::common::faultenv {
 ///   seg.open                    TenantStore segment opens (reads, recovery)
 ///   seg.read                    TenantStore segment reads (scans, recovery)
 ///   seg.dirsync                 TenantStore directory fsync after seal
-///   srv.send / srv.recv         Server per-connection I/O
+///   srv.send / srv.recv         fleet::EventLoop per-connection I/O
+///                               (serve shards and the router)
 ///   cli.send / cli.recv         Client request/response I/O
 ///   cli.connect                 Client TCP connect
 ///

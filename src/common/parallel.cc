@@ -1,5 +1,7 @@
 #include "common/parallel.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <exception>
@@ -20,6 +22,10 @@ thread_local bool tls_on_pool_worker = false;
 
 size_t EffectiveParallelism(size_t requested) {
   if (requested != 0) return requested;
+  cpu_set_t allowed;
+  if (::sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    return static_cast<size_t>(std::max(1, CPU_COUNT(&allowed)));
+  }
   return std::max<size_t>(1, std::thread::hardware_concurrency());
 }
 
@@ -29,8 +35,12 @@ ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
+    for (Parked* parked : idle_) {
+      parked->listed = false;
+      parked->cv.notify_one();
+    }
+    idle_.clear();
   }
-  cv_.notify_all();
   for (std::thread& t : workers_) t.join();
 }
 
@@ -39,12 +49,26 @@ size_t ThreadPool::num_threads() const {
   return workers_.size();
 }
 
+size_t ThreadPool::idle_threads() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return idle_.size();
+}
+
 void ThreadPool::Submit(std::function<void()> task) {
+  Parked* wake = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.push_back(std::move(task));
+    if (!idle_.empty()) {
+      wake = idle_.back();
+      idle_.pop_back();
+      wake->listed = false;
+    }
   }
-  cv_.notify_one();
+  // Notifying outside the lock is safe: a Parked lives as long as its
+  // worker, which exits only in the destructor, and no Submit may race
+  // the destructor.
+  if (wake != nullptr) wake->cv.notify_one();
 }
 
 void ThreadPool::EnsureAtLeast(size_t num_threads) {
@@ -56,16 +80,24 @@ void ThreadPool::EnsureAtLeast(size_t num_threads) {
 
 void ThreadPool::WorkerLoop() {
   tls_on_pool_worker = true;
+  Parked parked;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and queue drained
-      task = std::move(queue_.front());
+    if (!queue_.empty()) {
+      std::function<void()> task = std::move(queue_.front());
       queue_.pop_front();
+      lock.unlock();
+      task();
+      task = nullptr;  // release captures before retaking the lock
+      lock.lock();
+      continue;
     }
-    task();
+    if (stop_) return;  // queue drained
+    // Park on top of the idle stack. A wakeup whose task another worker
+    // already took lands back here and parks again, still on top.
+    parked.listed = true;
+    idle_.push_back(&parked);
+    parked.cv.wait(lock, [&parked] { return !parked.listed; });
   }
 }
 

@@ -11,14 +11,22 @@
 
 namespace dbsherlock::common {
 
-/// Resolves a parallelism request: 0 means "one lane per hardware thread"
-/// (never less than 1); any other value is taken literally. 1 selects the
-/// exact serial path (no pool involvement at all).
+/// Resolves a parallelism request: 0 means "one lane per CPU this process
+/// may run on" (its affinity mask, so `taskset -c 0` yields 1; never less
+/// than 1); any other value is taken literally. 1 selects the exact serial
+/// path (no pool involvement at all).
 size_t EffectiveParallelism(size_t requested);
 
 /// A small shared worker pool. Diagnosis code never uses it directly —
 /// ParallelFor/ParallelMap below schedule onto the process-wide instance —
-/// but tests construct private pools to probe lifecycle behavior.
+/// but servers run their blocking handlers on private pools.
+///
+/// Idle workers are woken last-idle-first (LIFO): Submit wakes the worker
+/// that went idle most recently. Under light load the same one or two
+/// workers then serve back-to-back tasks, and only their malloc arenas
+/// grow to a task's working set. A shared condition variable would wake
+/// the longest-idle worker instead, rotating every task over every
+/// worker and growing every worker's arena (DESIGN.md §15).
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (0 is allowed: tasks then only run when
@@ -31,7 +39,11 @@ class ThreadPool {
 
   size_t num_threads() const;
 
-  /// Enqueues `task` for execution on some worker.
+  /// Workers currently parked waiting for a task.
+  size_t idle_threads() const;
+
+  /// Enqueues `task` and wakes the most recently idle worker, if any (a
+  /// busy worker takes the task when it finishes its current one).
   void Submit(std::function<void()> task);
 
   /// Grows the pool to at least `num_threads` workers (never shrinks).
@@ -50,9 +62,16 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
+  /// A parked worker's own wakeup; it lives on that worker's stack.
+  struct Parked {
+    std::condition_variable cv;
+    bool listed = false;  // on idle_; cleared by whoever wakes it
+  };
+
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
+  /// Parked workers, most recently idle at the back.
+  std::vector<Parked*> idle_;
   std::vector<std::thread> workers_;
   bool stop_ = false;
 };

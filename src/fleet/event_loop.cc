@@ -35,7 +35,16 @@ int64_t NowMicros() {
 
 }  // namespace
 
-EventLoop::EventLoop(Options options) : options_(std::move(options)) {}
+EventLoop::EventLoop(Options options) : options_(std::move(options)) {
+  // Resolved before any Start failure path, which runs Stop from the
+  // destructor and publishes through these.
+  auto& metrics = common::MetricsRegistry::Global();
+  connections_counter_ = metrics.GetCounter("server.connections");
+  wakeups_counter_ = metrics.GetCounter("server.epoll_wakeups");
+  connections_live_gauge_ = metrics.GetGauge("server.connections_live");
+  read_buffer_gauge_ = metrics.GetGauge("server.read_buffer_bytes");
+  write_buffer_gauge_ = metrics.GetGauge("server.write_buffer_bytes");
+}
 
 Result<std::unique_ptr<EventLoop>> EventLoop::Start(Options options) {
   if (!options.handler) {
@@ -104,13 +113,6 @@ Result<std::unique_ptr<EventLoop>> EventLoop::Start(Options options) {
                            std::strerror(errno));
   }
 
-  auto& metrics = common::MetricsRegistry::Global();
-  metrics.GetCounter("server.connections");
-  metrics.GetCounter("server.epoll_wakeups");
-  metrics.GetGauge("server.connections_live");
-  metrics.GetGauge("server.read_buffer_bytes");
-  metrics.GetGauge("server.write_buffer_bytes");
-
   loop->workers_ = std::make_unique<common::ThreadPool>(
       std::max<size_t>(1, loop->options_.handler_threads));
   loop->loop_thread_ = std::thread([raw = loop.get()] { raw->Run(); });
@@ -125,17 +127,14 @@ void EventLoop::Stop() {
   (void)::write(wake_fd_, &one, sizeof(one));
   if (loop_thread_.joinable()) loop_thread_.join();
   // The pool destructor drains in-flight offloaded handlers; their
-  // completions Post into completions_ and are dropped with it — exactly
-  // like thread-mode shutdown, where responses race the closing socket.
+  // completions Post into completions_ and are dropped with it: a
+  // response racing shutdown is lost with its closing socket.
   workers_.reset();
   for (auto& [id, conn] : connections_) {
     if (conn->fd >= 0) ::close(conn->fd);
   }
   connections_.clear();
-  live_connections_.store(0);
-  common::MetricsRegistry::Global()
-      .GetGauge("server.connections_live")
-      ->Set(0.0);
+  UpdateLiveConnections();
   if (listen_fd_ >= 0) ::close(listen_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (wake_fd_ >= 0) ::close(wake_fd_);
@@ -143,8 +142,6 @@ void EventLoop::Stop() {
 }
 
 void EventLoop::Run() {
-  auto& metrics = common::MetricsRegistry::Global();
-  common::Counter* wakeups = metrics.GetCounter("server.epoll_wakeups");
   epoll_event events[64];
   for (;;) {
     int timeout = -1;
@@ -156,7 +153,7 @@ void EventLoop::Run() {
       if (errno == EINTR) continue;
       return;  // epoll fd torn down
     }
-    wakeups->Increment();
+    wakeups_counter_->Increment();
     if (stopping_.load()) return;
     for (int i = 0; i < n; ++i) {
       uint64_t id = events[i].data.u64;
@@ -190,7 +187,6 @@ void EventLoop::Run() {
 }
 
 void EventLoop::HandleAccepts() {
-  auto& metrics = common::MetricsRegistry::Global();
   for (;;) {
     int fd = ::accept4(listen_fd_, nullptr, nullptr,
                        SOCK_CLOEXEC | SOCK_NONBLOCK);
@@ -205,8 +201,9 @@ void EventLoop::HandleAccepts() {
       std::string line = options_.shed_response + "\n";
       (void)::send(fd, line.data(), line.size(), MSG_NOSIGNAL);
       ::close(fd);
-      accepts_shed_.fetch_add(1, std::memory_order_relaxed);
-      metrics.GetCounter("server.accepts_shed")->Increment();
+      common::MetricsRegistry::Global()
+          .GetCounter("server.accepts_shed")
+          ->Increment();
       continue;
     }
     int one = 1;
@@ -223,11 +220,8 @@ void EventLoop::HandleAccepts() {
       continue;
     }
     connections_.emplace(conn->id, std::move(conn));
-    connections_handled_.fetch_add(1, std::memory_order_relaxed);
-    live_connections_.store(connections_.size());
-    metrics.GetCounter("server.connections")->Increment();
-    metrics.GetGauge("server.connections_live")
-        ->Set(static_cast<double>(connections_.size()));
+    connections_counter_->Increment();
+    UpdateLiveConnections();
   }
 }
 
@@ -241,10 +235,9 @@ void EventLoop::HandleReadable(Connection* conn) {
     if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (r == 0) {
       // Half-close: the peer finished sending (pipelined requests then
-      // shutdown(WR) is a legal client pattern, and the thread-per-
-      // connection mode answers everything already buffered before it
-      // notices EOF). Stop reading, but drain pending requests and the
-      // write buffer before closing.
+      // shutdown(WR) is a legal client pattern, and everything already
+      // buffered gets its answer). Stop reading, but drain pending
+      // requests and the write buffer before closing.
       conn->eof = true;
       break;
     }
@@ -370,10 +363,7 @@ void EventLoop::CloseConnection(uint64_t id) {
   }
   ::close(conn->fd);
   connections_.erase(it);
-  live_connections_.store(connections_.size());
-  common::MetricsRegistry::Global()
-      .GetGauge("server.connections_live")
-      ->Set(static_cast<double>(connections_.size()));
+  UpdateLiveConnections();
   UpdateBufferGauges();
 }
 
@@ -420,10 +410,7 @@ void EventLoop::ApplyCompletions() {
     if (conn->fd < 0) {
       // Tombstone: the socket died while the handler ran.
       connections_.erase(it);
-      live_connections_.store(connections_.size());
-      common::MetricsRegistry::Global()
-          .GetGauge("server.connections_live")
-          ->Set(static_cast<double>(connections_.size()));
+      UpdateLiveConnections();
       continue;
     }
     QueueResponse(conn, std::move(c.response), c.quit);
@@ -433,11 +420,12 @@ void EventLoop::ApplyCompletions() {
 }
 
 void EventLoop::UpdateBufferGauges() {
-  auto& metrics = common::MetricsRegistry::Global();
-  metrics.GetGauge("server.read_buffer_bytes")
-      ->Set(static_cast<double>(read_buffered_bytes_));
-  metrics.GetGauge("server.write_buffer_bytes")
-      ->Set(static_cast<double>(write_buffered_bytes_));
+  read_buffer_gauge_->Set(static_cast<double>(read_buffered_bytes_));
+  write_buffer_gauge_->Set(static_cast<double>(write_buffered_bytes_));
+}
+
+void EventLoop::UpdateLiveConnections() {
+  connections_live_gauge_->Set(static_cast<double>(connections_.size()));
 }
 
 }  // namespace dbsherlock::fleet

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/status.h"
 
@@ -19,8 +20,8 @@ namespace dbsherlock::fleet {
 
 /// Edge-triggered epoll event loop serving the dbsherlockd line protocol
 /// (DESIGN.md §15): one loop thread multiplexes the listen socket and
-/// every live connection through nonblocking I/O, so fan-in no longer
-/// costs one blocked reader thread per connection. Request lines are
+/// every live connection through nonblocking I/O, so a connection costs
+/// an fd and its buffers, never a blocked reader thread. Request lines are
 /// reassembled from partial reads per connection; responses are written
 /// through a per-connection output buffer that survives short writes.
 ///
@@ -40,9 +41,8 @@ namespace dbsherlock::fleet {
 /// Connections past `max_connections` are shed at accept with a
 /// RETRY_AFTER line (clients back off and try again) instead of holding
 /// an fd or a thread. Oversized request lines get ERR ParseError and the
-/// connection is closed, complete or partial — identical to the
-/// thread-per-connection server, which the wire-parity test asserts
-/// byte-for-byte.
+/// connection is closed, complete or partial. Connections idle past
+/// `idle_timeout_ms` are closed by a periodic sweep.
 class EventLoop {
  public:
   struct Options {
@@ -86,11 +86,6 @@ class EventLoop {
   /// connection, and joins the loop thread. Idempotent.
   void Stop();
 
-  size_t connections_handled() const { return connections_handled_.load(); }
-  /// Connections currently registered with the loop.
-  size_t live_connections() const { return live_connections_.load(); }
-  uint64_t accepts_shed() const { return accepts_shed_.load(); }
-
  private:
   struct Connection {
     uint64_t id = 0;
@@ -128,6 +123,8 @@ class EventLoop {
   void Post(Completion completion);
   void ApplyCompletions();
   void UpdateBufferGauges();
+  /// Publishes connections_.size() to the server.connections_live gauge.
+  void UpdateLiveConnections();
 
   Options options_;
   int port_ = 0;
@@ -138,6 +135,15 @@ class EventLoop {
   std::thread loop_thread_;
   std::unique_ptr<common::ThreadPool> workers_;
 
+  // Registry entries updated on every event, resolved once at
+  // construction (a lookup takes the registry mutex). Rare-path counters
+  // stay lazy so a STATS snapshot lists them only once they fire.
+  common::Counter* connections_counter_ = nullptr;
+  common::Counter* wakeups_counter_ = nullptr;
+  common::Gauge* connections_live_gauge_ = nullptr;
+  common::Gauge* read_buffer_gauge_ = nullptr;
+  common::Gauge* write_buffer_gauge_ = nullptr;
+
   // Loop-thread state (no lock): connections keyed by id, never by fd, so
   // a recycled fd number can't alias a closed connection.
   uint64_t next_id_ = 2;  // 0 = listen sentinel, 1 = wakeup sentinel
@@ -147,10 +153,6 @@ class EventLoop {
 
   std::mutex completions_mu_;
   std::vector<Completion> completions_;
-
-  std::atomic<size_t> connections_handled_{0};
-  std::atomic<size_t> live_connections_{0};
-  std::atomic<uint64_t> accepts_shed_{0};
 };
 
 }  // namespace dbsherlock::fleet

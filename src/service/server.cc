@@ -1,41 +1,11 @@
 #include "service/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
-
-#include "common/faultenv.h"
-#include "common/metrics.h"
 #include "common/strings.h"
 
 namespace dbsherlock::service {
 
-namespace {
-
 using common::Result;
 using common::Status;
-
-Status SendAll(int fd, const std::string& data) {
-  size_t done = 0;
-  while (done < data.size()) {
-    ssize_t w = common::faultenv::Send(
-        "srv.send", fd, data.data() + done, data.size() - done, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("send: ") + std::strerror(errno));
-    }
-    done += static_cast<size_t>(w);
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 Server::Server(Options options) : options_(std::move(options)) {}
 
@@ -43,88 +13,33 @@ Result<std::unique_ptr<Server>> Server::Start(Options options) {
   if (options.service == nullptr) {
     return Status::InvalidArgument("Server needs a Service");
   }
+  fleet::EventLoop::Options loop_options;
+  loop_options.host = options.host;
+  loop_options.port = options.port;
+  loop_options.max_connections = options.max_connections;
+  loop_options.max_line_bytes = options.max_line_bytes;
+  loop_options.idle_timeout_ms = options.idle_timeout_ms;
+  loop_options.handler_threads = options.handler_threads;
+  // The loop is protocol-agnostic; its canned responses are rendered with
+  // the same wire helpers the dispatcher uses.
+  loop_options.shed_response = RetryAfterLine(options.accept_retry_after_ms);
+  loop_options.oversized_response =
+      ErrLine(Status::ParseError("request line too long"));
+  loop_options.offload = [](const std::string& line) {
+    return ShouldOffload(line);
+  };
   auto server = std::unique_ptr<Server>(new Server(std::move(options)));
-
-  if (server->options_.io_mode == IoMode::kEpoll) {
-    DBSHERLOCK_RETURN_NOT_OK(server->StartEpoll());
-    return server;
-  }
-
-  int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(server->options_.port));
-  if (::inet_pton(AF_INET, server->options_.host.c_str(), &addr.sin_addr) !=
-      1) {
-    ::close(fd);
-    return Status::InvalidArgument("bad listen address: " +
-                                   server->options_.host);
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    Status status(common::StatusCode::kIoError,
-                  std::string("bind: ") + std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  if (::listen(fd, 64) != 0) {
-    Status status(common::StatusCode::kIoError,
-                  std::string("listen: ") + std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    Status status(common::StatusCode::kIoError,
-                  std::string("getsockname: ") + std::strerror(errno));
-    ::close(fd);
-    return status;
-  }
-  server->listen_fd_ = fd;
-  server->port_ = ntohs(addr.sin_port);
-  // One warm worker up front; AcceptLoop grows the pool with the live
-  // connection count.
-  server->workers_ = std::make_unique<common::ThreadPool>(1);
-  server->accept_thread_ = std::thread([srv = server.get()] {
-    srv->AcceptLoop();
-  });
-  common::MetricsRegistry::Global().GetCounter("server.connections");
+  loop_options.handler = [raw = server.get()](const std::string& line,
+                                              bool* quit) {
+    return raw->HandleLine(line, quit);
+  };
+  auto loop = fleet::EventLoop::Start(std::move(loop_options));
+  if (!loop.ok()) return loop.status();
+  server->loop_ = std::move(*loop);
   return server;
 }
 
 Server::~Server() { Stop(); }
-
-Status Server::StartEpoll() {
-  fleet::EventLoop::Options loop_options;
-  loop_options.host = options_.host;
-  loop_options.port = options_.port;
-  loop_options.max_connections = options_.max_connections;
-  loop_options.max_line_bytes = options_.max_line_bytes;
-  loop_options.idle_timeout_ms = options_.idle_timeout_ms;
-  loop_options.handler_threads = options_.handler_threads;
-  // The loop is protocol-agnostic; render its canned responses with the
-  // same wire helpers the dispatcher uses so both modes stay
-  // byte-identical on the wire.
-  loop_options.shed_response = RetryAfterLine(options_.accept_retry_after_ms);
-  loop_options.oversized_response =
-      ErrLine(Status::ParseError("request line too long"));
-  loop_options.handler = [this](const std::string& line, bool* quit) {
-    return HandleLine(line, quit);
-  };
-  loop_options.offload = [](const std::string& line) {
-    return ShouldOffload(line);
-  };
-  auto loop = fleet::EventLoop::Start(std::move(loop_options));
-  if (!loop.ok()) return loop.status();
-  loop_ = std::move(*loop);
-  port_ = loop_->port();
-  return Status::OK();
-}
 
 bool Server::ShouldOffload(const std::string& line) {
   // Inline (loop-thread) verbs must never block: PING/QUIT are trivial
@@ -141,122 +56,6 @@ bool Server::ShouldOffload(const std::string& line) {
                                                               : end);
   return !(verb == "APPEND" || verb == "APPENDSEQ" || verb == "PING" ||
            verb == "QUIT");
-}
-
-size_t Server::live_connections() const {
-  if (loop_ != nullptr) return loop_->live_connections();
-  std::lock_guard lock(conn_mu_);
-  return conn_fds_.size();
-}
-
-void Server::AcceptLoop() {
-  for (;;) {
-    int listen_fd = listen_fd_.load();
-    if (listen_fd < 0) return;  // Stop() already claimed the fd
-    int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listen fd shut down by Stop (or fatal accept error)
-    }
-    if (stopping_.load()) {
-      ::close(fd);
-      return;
-    }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-    auto& metrics = common::MetricsRegistry::Global();
-    size_t live;
-    {
-      std::lock_guard lock(conn_mu_);
-      if (conn_fds_.size() >= options_.max_connections) {
-        // Shed with a retry hint instead of an opaque error: the client
-        // backs off (BackoffSleepMs honors RETRY_AFTER) and no thread is
-        // spent on a connection we cannot serve.
-        (void)SendAll(fd,
-                      RetryAfterLine(options_.accept_retry_after_ms) + "\n");
-        ::close(fd);
-        accepts_shed_.fetch_add(1, std::memory_order_relaxed);
-        metrics.GetCounter("server.accepts_shed")->Increment();
-        continue;
-      }
-      conn_fds_.insert(fd);
-      live = conn_fds_.size();
-    }
-    connections_handled_.fetch_add(1, std::memory_order_relaxed);
-    metrics.GetCounter("server.connections")->Increment();
-    metrics.GetGauge("server.connections_live")
-        ->Set(static_cast<double>(live));
-    // Each live connection needs a dedicated worker: readers block in
-    // recv, so the pool must match the connection count.
-    workers_->EnsureAtLeast(live);
-    workers_->Submit([this, fd] { HandleConnection(fd); });
-  }
-}
-
-void Server::HandleConnection(int fd) {
-  auto& metrics = common::MetricsRegistry::Global();
-  if (options_.idle_timeout_ms > 0) {
-    timeval tv{};
-    tv.tv_sec = options_.idle_timeout_ms / 1000;
-    tv.tv_usec = (options_.idle_timeout_ms % 1000) * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  }
-  std::string buffer;
-  char chunk[4096];
-  bool quit = false;
-  while (!quit) {
-    ssize_t r = common::faultenv::Recv("srv.recv", fd, chunk, sizeof(chunk),
-                                       0);
-    if (r < 0 && errno == EINTR) continue;
-    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // The idle read timeout expired: a slow-loris peer (or one that
-      // simply left) does not get to hold a worker forever.
-      metrics.GetCounter("server.idle_timeouts")->Increment();
-      break;
-    }
-    if (r <= 0) break;  // peer closed, error, or Stop's shutdown()
-    buffer.append(chunk, static_cast<size_t>(r));
-    size_t newline;
-    while (!quit && (newline = buffer.find('\n')) != std::string::npos) {
-      std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      if (line.size() > options_.max_line_bytes) {
-        metrics.GetCounter("server.oversized_lines")->Increment();
-        (void)SendAll(
-            fd, ErrLine(Status::ParseError("request line too long")) + "\n");
-        quit = true;
-        break;
-      }
-      std::string response = HandleLine(line, &quit);
-      response += '\n';
-      if (!SendAll(fd, response).ok()) {
-        quit = true;
-        break;
-      }
-    }
-    // A partial line past the cap can never complete into a valid
-    // request; shed it before it eats the worker's memory.
-    if (!quit && buffer.size() > options_.max_line_bytes) {
-      metrics.GetCounter("server.oversized_lines")->Increment();
-      (void)SendAll(
-          fd, ErrLine(Status::ParseError("request line too long")) + "\n");
-      break;
-    }
-  }
-  // Deregister before close so Stop never shutdown()s a recycled fd, and
-  // so the live gauge drops the moment the connection stops being served
-  // (not when its thread is eventually joined).
-  size_t live;
-  {
-    std::lock_guard lock(conn_mu_);
-    conn_fds_.erase(fd);
-    live = conn_fds_.size();
-    conn_done_.notify_all();
-  }
-  metrics.GetGauge("server.connections_live")
-      ->Set(static_cast<double>(live));
-  ::close(fd);
 }
 
 std::string Server::HandleLine(const std::string& line, bool* quit) {
@@ -375,26 +174,7 @@ std::string Server::HandleLine(const std::string& line, bool* quit) {
 }
 
 void Server::Stop() {
-  if (stopping_.exchange(true)) return;
-  if (loop_ != nullptr) {
-    loop_->Stop();
-    return;
-  }
-  // shutdown() pops AcceptLoop out of accept(); the fd is closed only
-  // after the accept thread joins, so its number cannot be recycled
-  // under a racing accept4().
-  int listen_fd = listen_fd_.exchange(-1);
-  if (listen_fd >= 0) ::shutdown(listen_fd, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd >= 0) ::close(listen_fd);
-  // shutdown() unblocks every reader stuck in recv; each handler then
-  // closes its own fd and deregisters.
-  {
-    std::unique_lock lock(conn_mu_);
-    for (int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-    conn_done_.wait(lock, [this] { return conn_fds_.empty(); });
-  }
-  workers_.reset();  // joins handler threads
+  if (loop_ != nullptr) loop_->Stop();
 }
 
 }  // namespace dbsherlock::service

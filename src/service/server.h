@@ -1,15 +1,9 @@
 #ifndef DBSHERLOCK_SERVICE_SERVER_H_
 #define DBSHERLOCK_SERVICE_SERVER_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 
-#include "common/parallel.h"
 #include "common/status.h"
 #include "fleet/event_loop.h"
 #include "service/service.h"
@@ -17,26 +11,15 @@
 
 namespace dbsherlock::service {
 
-/// How the server multiplexes connections (the --io-mode flag).
-enum class IoMode {
-  /// One blocking reader thread per connection (the original frontend).
-  kThreads,
-  /// One edge-triggered epoll loop thread for every connection
-  /// (fleet::EventLoop); blocking verbs run on a fixed handler pool.
-  /// Wire behavior is byte-identical to kThreads (the parity test).
-  kEpoll,
-};
-
 /// The TCP frontend of dbsherlockd. Each request line is parsed with
 /// wire.h, dispatched into the Service, and answered with exactly one
 /// response line. The server owns no diagnosis logic — backpressure and
 /// queueing decisions all come from Service::Append.
 ///
-/// Two interchangeable I/O engines sit under the same dispatcher: the
-/// original thread-per-connection accept loop, and the fleet event loop
-/// (DESIGN.md §15) whose fan-in cost is one thread total plus a fixed
-/// handler pool. In both modes, accepts past max_connections are shed
-/// with a RETRY_AFTER line instead of growing threads without bound.
+/// Connections are multiplexed by one fleet::EventLoop (DESIGN.md §15):
+/// one loop thread for every connection plus a fixed handler pool for
+/// the verbs that may block. Accepts past max_connections are shed with a
+/// RETRY_AFTER line.
 class Server {
  public:
   struct Options {
@@ -48,20 +31,18 @@ class Server {
     /// Delay advertised on the accept-shed RETRY_AFTER line.
     int accept_retry_after_ms = 50;
     /// Slow-loris guard: a connection that sends nothing for this long is
-    /// closed (its worker is a finite resource). 0 = wait forever.
+    /// closed (its fd is a finite resource). 0 = wait forever.
     int idle_timeout_ms = 0;
     /// Per-connection line-buffer cap; a longer request line gets
     /// ERR ParseError and the connection is closed.
     size_t max_line_bytes = 1 << 20;
-    /// Connection multiplexing engine.
-    IoMode io_mode = IoMode::kThreads;
-    /// kEpoll only: workers running blocking verbs off the loop thread.
+    /// Workers running blocking verbs off the loop thread.
     size_t handler_threads = 4;
     /// The engine; required, not owned.
     Service* service = nullptr;
   };
 
-  /// Binds, listens, and starts the accept loop.
+  /// Binds, listens, and starts the event loop.
   static common::Result<std::unique_ptr<Server>> Start(Options options);
 
   ~Server();
@@ -70,62 +51,24 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// The bound port (resolves Options::port == 0).
-  int port() const { return port_; }
+  int port() const { return loop_->port(); }
   const std::string& host() const { return options_.host; }
 
   /// Stops accepting, shuts down live connections, and waits for their
   /// handlers to finish. Does NOT stop the Service (its owner does).
   void Stop();
 
-  size_t connections_handled() const {
-    if (loop_ != nullptr) return loop_->connections_handled();
-    return connections_handled_.load();
-  }
-
-  /// Connections currently open — accurate in both modes: thread mode
-  /// counts registered fds (a handler deregisters before closing), epoll
-  /// mode counts loop-registered connections.
-  size_t live_connections() const;
-
-  /// Accepts shed with RETRY_AFTER past max_connections.
-  uint64_t accepts_shed() const {
-    if (loop_ != nullptr) return loop_->accepts_shed();
-    return accepts_shed_.load();
-  }
-
  private:
   explicit Server(Options options);
 
-  common::Status StartEpoll();
-
-  void AcceptLoop();
-  void HandleConnection(int fd);
   /// One request line -> one response line (no trailing newline).
   /// Sets *quit on QUIT.
   std::string HandleLine(const std::string& line, bool* quit);
-  /// True when `line` names a verb that may block (epoll mode offloads it
-  /// to the handler pool instead of running it on the loop thread).
+  /// True when `line` names a verb that may block (it then runs on the
+  /// handler pool instead of the loop thread).
   static bool ShouldOffload(const std::string& line);
 
   Options options_;
-  /// Atomic: AcceptLoop reads it per iteration while Stop() swaps in -1.
-  std::atomic<int> listen_fd_{-1};
-  int port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-
-  /// Handler tasks run here; grown to the live-connection count so a
-  /// blocking reader never starves another connection.
-  std::unique_ptr<common::ThreadPool> workers_;
-
-  mutable std::mutex conn_mu_;
-  std::condition_variable conn_done_;
-  std::set<int> conn_fds_;
-
-  std::atomic<size_t> connections_handled_{0};
-  std::atomic<uint64_t> accepts_shed_{0};
-
-  /// Non-null iff io_mode == kEpoll; owns the listen socket then.
   std::unique_ptr<fleet::EventLoop> loop_;
 };
 

@@ -1,9 +1,11 @@
-// Epoll/thread server parity (fleet/event_loop.h behind Server's
-// --io-mode): the same wire conversation must produce byte-identical
-// responses in both modes — including pipelined scripts, requests split
-// across many small writes, a half-closed (EOF-drain) peer, a slow-loris
-// client that must not stall anyone else, accept-shed past
-// max_connections, and a short-read/short-write fault schedule.
+// Wire parity of the server's event loop (fleet/event_loop.h behind
+// service::Server) with the thread-per-connection engine it replaced.
+// That engine's responses were recorded as literal transcripts; the loop
+// must reproduce them byte for byte — for a pipelined script, the same
+// script split into many small writes, and under a short-read/short-write
+// fault schedule. Beside the transcripts: a half-closed (EOF-drain) peer
+// is answered in full, a slow-loris client stalls nobody else, and
+// accepts past max_connections are shed until a slot frees.
 
 #include <gtest/gtest.h>
 
@@ -105,15 +107,14 @@ class RawConn {
   int fd_ = -1;
 };
 
-/// One self-contained daemon stack (volatile store + service + server)
-/// in the requested I/O mode. Identical knobs except io_mode, so any
-/// response difference is the event loop's fault.
+/// One self-contained daemon stack (volatile store + service + server),
+/// with the knobs the transcripts were recorded under.
 struct Stack {
   std::unique_ptr<DurableModelStore> store;
   std::unique_ptr<Service> service;
   std::unique_ptr<Server> server;
 
-  static Stack Start(IoMode mode, size_t max_connections = 16) {
+  static Stack Start(size_t max_connections = 16) {
     Stack s;
     auto store = DurableModelStore::Open({});
     EXPECT_TRUE(store.ok()) << store.status().ToString();
@@ -125,7 +126,6 @@ struct Stack {
     s.service = std::make_unique<Service>(service_options);
     Server::Options server_options;
     server_options.service = s.service.get();
-    server_options.io_mode = mode;
     server_options.handler_threads = 2;
     server_options.max_connections = max_connections;
     auto server = Server::Start(server_options);
@@ -145,7 +145,7 @@ struct Stack {
 /// A deterministic conversation: HELLO, fresh APPENDSEQs, FLUSH (so the
 /// replays below observe a settled durable state), a resumed HELLO, an
 /// idempotent replay, a parse error, and QUIT. Every response line is a
-/// pure function of the script, so the two modes must match bytewise.
+/// pure function of the script.
 const char kScript[] =
     "PING\n"
     "HELLO t0 m0:num,m1:num\n"
@@ -159,6 +159,20 @@ const char kScript[] =
     "FLUSH t0\n"
     "QUIT\n";
 const size_t kScriptResponses = 11;
+
+/// kScript's responses as the thread-per-connection engine wrote them.
+const char kTranscript[] =
+    "OK pong\n"
+    "OK tenant t0 attrs 2\n"
+    "OK 1\n"
+    "OK 2\n"
+    "OK 3\n"
+    "OK flushed\n"
+    "OK tenant t0 attrs 2\n"
+    "OK 3 replayed\n"
+    "ERR InvalidArgument unknown verb: NO_SUCH_VERB\n"
+    "OK flushed\n"
+    "OK bye\n";
 
 /// Sends `segments` (with optional pauses between them) and returns all
 /// response bytes until the server closes or goes quiet.
@@ -177,59 +191,44 @@ std::string Converse(int port,
   return out;
 }
 
-TEST(FleetParityTest, PipelinedScriptIsByteIdenticalAcrossModes) {
-  Stack threads = Stack::Start(IoMode::kThreads);
-  Stack epoll = Stack::Start(IoMode::kEpoll);
-  std::string a = Converse(threads.port(), {{kScript, 0}});
-  std::string b = Converse(epoll.port(), {{kScript, 0}});
-  EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a.find("OK pong"), std::string::npos);
-  EXPECT_NE(a.find("replayed"), std::string::npos);
-  EXPECT_NE(a.find("ERR"), std::string::npos) << "parse error missing";
-  threads.Stop();
-  epoll.Stop();
+TEST(FleetParityTest, PipelinedScriptMatchesTranscript) {
+  Stack stack = Stack::Start();
+  EXPECT_EQ(Converse(stack.port(), {{kScript, 0}}), kTranscript);
+  stack.Stop();
 }
 
 TEST(FleetParityTest, PartialLineWritesReassembleIdentically) {
   // The same script dribbled in awkward fragments — splits mid-verb,
   // mid-number, and between the '\r'-less line end and the next verb.
-  Stack threads = Stack::Start(IoMode::kThreads);
-  Stack epoll = Stack::Start(IoMode::kEpoll);
+  Stack stack = Stack::Start();
   std::string script(kScript);
   std::vector<std::pair<std::string, int>> segments;
   const size_t kFragment = 7;
   for (size_t at = 0; at < script.size(); at += kFragment) {
     segments.emplace_back(script.substr(at, kFragment), 2);
   }
-  std::string whole = Converse(threads.port(), {{script, 0}});
-  std::string dribbled = Converse(epoll.port(), segments);
-  EXPECT_EQ(whole, dribbled);
-  threads.Stop();
-  epoll.Stop();
+  EXPECT_EQ(Converse(stack.port(), segments), kTranscript);
+  stack.Stop();
 }
 
 TEST(FleetParityTest, HalfClosedPeerStillGetsPipelinedAnswers) {
-  // shutdown(SHUT_WR) right after the script: both modes must drain the
+  // shutdown(SHUT_WR) right after the script: the server must drain the
   // buffered requests and answer them all before closing (EOF is not an
   // abort).
-  for (IoMode mode : {IoMode::kThreads, IoMode::kEpoll}) {
-    Stack stack = Stack::Start(mode);
-    RawConn conn;
-    ASSERT_TRUE(conn.Connect(stack.port()));
-    ASSERT_TRUE(conn.SendAll("PING\nPING\nPING\n"));
-    conn.ShutdownWrite();
-    EXPECT_EQ(conn.ReadToEof(), "OK pong\nOK pong\nOK pong\n")
-        << "mode " << static_cast<int>(mode);
-    stack.Stop();
-  }
+  Stack stack = Stack::Start();
+  RawConn conn;
+  ASSERT_TRUE(conn.Connect(stack.port()));
+  ASSERT_TRUE(conn.SendAll("PING\nPING\nPING\n"));
+  conn.ShutdownWrite();
+  EXPECT_EQ(conn.ReadToEof(), "OK pong\nOK pong\nOK pong\n");
+  stack.Stop();
 }
 
 TEST(FleetParityTest, SlowLorisDoesNotStallOtherClients) {
   // A client dribbling one byte at a time holds a connection open for
-  // seconds. In epoll mode that must cost an fd, not a thread: a normal
-  // client running alongside finishes its requests at full speed.
-  Stack stack = Stack::Start(IoMode::kEpoll);
+  // seconds. That must cost an fd, not a thread: a normal client running
+  // alongside finishes its requests at full speed.
+  Stack stack = Stack::Start();
   std::atomic<bool> loris_ok{false};
   std::thread loris([&] {
     RawConn conn;
@@ -260,55 +259,46 @@ TEST(FleetParityTest, SlowLorisDoesNotStallOtherClients) {
   stack.Stop();
 }
 
-TEST(FleetParityTest, AcceptShedBeyondMaxConnectionsInBothModes) {
-  for (IoMode mode : {IoMode::kThreads, IoMode::kEpoll}) {
-    Stack stack = Stack::Start(mode, /*max_connections=*/2);
-    RawConn a, b;
-    ASSERT_TRUE(a.Connect(stack.port()));
-    ASSERT_TRUE(a.SendAll("PING\n"));
-    ASSERT_EQ(a.ReadLines(1), "OK pong\n");
-    ASSERT_TRUE(b.Connect(stack.port()));
-    ASSERT_TRUE(b.SendAll("PING\n"));
-    ASSERT_EQ(b.ReadLines(1), "OK pong\n");
+TEST(FleetParityTest, AcceptShedBeyondMaxConnections) {
+  Stack stack = Stack::Start(/*max_connections=*/2);
+  RawConn a, b;
+  ASSERT_TRUE(a.Connect(stack.port()));
+  ASSERT_TRUE(a.SendAll("PING\n"));
+  ASSERT_EQ(a.ReadLines(1), "OK pong\n");
+  ASSERT_TRUE(b.Connect(stack.port()));
+  ASSERT_TRUE(b.SendAll("PING\n"));
+  ASSERT_EQ(b.ReadLines(1), "OK pong\n");
 
-    // Third connection: shed with a RETRY_AFTER hint and closed, no
-    // thread spawned, no silent hang.
-    RawConn c;
-    ASSERT_TRUE(c.Connect(stack.port()));
-    std::string shed = c.ReadToEof();
-    EXPECT_NE(shed.find("RETRY_AFTER"), std::string::npos)
-        << "mode " << static_cast<int>(mode) << " got: " << shed;
+  // Third connection: shed with a RETRY_AFTER hint and closed, no thread
+  // spawned, no silent hang.
+  RawConn c;
+  ASSERT_TRUE(c.Connect(stack.port()));
+  EXPECT_EQ(c.ReadToEof(), "RETRY_AFTER 50\n");
 
-    // Closing a live connection frees its slot — the gauge must track
-    // closes, or this accept is shed too and the fleet never recovers.
-    a.Close();
-    for (int attempt = 0;; ++attempt) {
-      RawConn d;
-      ASSERT_TRUE(d.Connect(stack.port()));
-      ASSERT_TRUE(d.SendAll("PING\n"));
-      std::string got = d.ReadLines(1);
-      if (got == "OK pong\n") break;
-      ASSERT_LT(attempt, 50) << "slot never freed after close: " << got;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    stack.Stop();
+  // Closing a live connection frees its slot — the gauge must track
+  // closes, or this accept is shed too and the fleet never recovers.
+  a.Close();
+  for (int attempt = 0;; ++attempt) {
+    RawConn d;
+    ASSERT_TRUE(d.Connect(stack.port()));
+    ASSERT_TRUE(d.SendAll("PING\n"));
+    std::string got = d.ReadLines(1);
+    if (got == "OK pong\n") break;
+    ASSERT_LT(attempt, 50) << "slot never freed after close: " << got;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
+  stack.Stop();
 }
 
 TEST(FleetParityTest, ShortReadWriteFaultScheduleKeepsParity) {
-  // Short reads and short writes exercise both modes' partial-I/O loops;
-  // the conversation must still come out byte-identical.
+  // Short reads and short writes exercise the partial-I/O loops; the
+  // conversation must still match the transcript byte for byte.
   ASSERT_TRUE(common::faultenv::InstallSchedule(
                   "seed=11;srv.recv=short@0.4;srv.send=short@0.4")
                   .ok());
-  Stack threads = Stack::Start(IoMode::kThreads);
-  Stack epoll = Stack::Start(IoMode::kEpoll);
-  std::string a = Converse(threads.port(), {{kScript, 0}});
-  std::string b = Converse(epoll.port(), {{kScript, 0}});
-  EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
-  threads.Stop();
-  epoll.Stop();
+  Stack stack = Stack::Start();
+  EXPECT_EQ(Converse(stack.port(), {{kScript, 0}}), kTranscript);
+  stack.Stop();
   ASSERT_TRUE(common::faultenv::InstallSchedule("").ok());
 }
 

@@ -35,9 +35,8 @@ DaemonProcess::Options ShardOptions(std::vector<std::string> extra = {}) {
   DaemonProcess::Options options;
   options.binary = DBSHERLOCK_DAEMON_PATH;
   options.command = "serve";
-  options.args = {"--port", "0",  "--io-mode",     "epoll",
-                  "--handler-threads", "2", "--max-tenants", "64",
-                  "--max-connections", "64",
+  options.args = {"--port", "0", "--handler-threads", "2",
+                  "--max-tenants", "64", "--max-connections", "64",
                   // Slow the drain so the kill below lands while every
                   // tenant is provably mid-stream (a fast machine would
                   // otherwise finish the whole replay first).
@@ -193,8 +192,7 @@ TEST(FleetRouterE2eTest, SlowFlushDoesNotTripCircuitBreaker) {
   DaemonProcess::Options shard_options;
   shard_options.binary = DBSHERLOCK_DAEMON_PATH;
   shard_options.command = "serve";
-  shard_options.args = {"--port", "0", "--io-mode", "epoll",
-                        "--process-delay-us", "20000"};
+  shard_options.args = {"--port", "0", "--process-delay-us", "20000"};
   ASSERT_TRUE(shard.Start(shard_options).ok());
   DaemonProcess router;
   DaemonProcess::Options router_options;

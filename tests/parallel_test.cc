@@ -1,9 +1,15 @@
 #include "common/parallel.h"
 
+#include <sched.h>
+
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +19,21 @@ namespace {
 
 TEST(EffectiveParallelismTest, ZeroMeansHardwareConcurrencyAtLeastOne) {
   EXPECT_GE(EffectiveParallelism(0), 1u);
+}
+
+TEST(EffectiveParallelismTest, ZeroFollowsTheAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &saved)) ++cpu;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const size_t pinned = EffectiveParallelism(0);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(EffectiveParallelism(0), static_cast<size_t>(CPU_COUNT(&saved)));
 }
 
 TEST(EffectiveParallelismTest, ExplicitValuesPassThrough) {
@@ -162,6 +183,36 @@ TEST(ThreadPoolTest, SubmittedTasksRun) {
   }
   while (done.load() < 10) std::this_thread::yield();
   EXPECT_EQ(done.load(), 10);
+}
+
+TEST(ThreadPoolTest, IdleWorkersWakeMostRecentFirst) {
+  // Submit wakes the most recently parked worker, so sequential tasks on
+  // an idle pool keep landing on the same worker (and its malloc arena)
+  // instead of rotating over all four.
+  ThreadPool pool(4);
+  std::set<std::thread::id> ran_on;
+  for (int i = 0; i < 100; ++i) {
+    while (pool.idle_threads() < 4) std::this_thread::yield();
+    std::promise<std::thread::id> ran;
+    std::future<std::thread::id> id = ran.get_future();
+    pool.Submit([&ran] { ran.set_value(std::this_thread::get_id()); });
+    ran_on.insert(id.get());
+  }
+  EXPECT_LE(ran_on.size(), 2u);
+}
+
+TEST(ThreadPoolTest, DestructorRunsQueuedTasksThenJoins) {
+  std::atomic<int> done{0};
+  {
+    ThreadPool pool(2);
+    for (int i = 0; i < 50; ++i) {
+      pool.Submit([&done] {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        ++done;
+      });
+    }
+  }
+  EXPECT_EQ(done.load(), 50);
 }
 
 TEST(ThreadPoolTest, EnsureAtLeastGrowsButNeverShrinks) {

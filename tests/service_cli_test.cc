@@ -118,6 +118,32 @@ TEST(ServiceCliTest, DaemonWithoutArgsPrintsUsage) {
   EXPECT_NE(r.output.find("usage:"), std::string::npos);
 }
 
+TEST(ServiceCliTest, ServeRejectsUnknownFlags) {
+  // Misspelt flags exit 2 before the daemon listens, instead of being
+  // silently ignored. `timeout` bounds a daemon that wrongly starts
+  // serving.
+  for (const char* flag : {"--queue-capacty 128", "--ingest-worker 2"}) {
+    RunResult r = RunCommand(std::string("timeout 10 ") +
+                             DBSHERLOCK_DAEMON_PATH + " serve --port 0 " +
+                             flag);
+    EXPECT_EQ(r.exit_code, 2) << flag << ": " << r.output;
+    std::string name(flag, std::string(flag).find(' '));
+    EXPECT_NE(r.output.find("unknown flag " + name), std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("LISTENING"), std::string::npos) << r.output;
+  }
+}
+
+TEST(ServiceCliTest, RouteRejectsUnknownFlags) {
+  RunResult r = RunCommand(std::string("timeout 10 ") +
+                           DBSHERLOCK_DAEMON_PATH +
+                           " route --port 0 --shards 127.0.0.1:1 --vnode 8");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("unknown flag --vnode"), std::string::npos)
+      << r.output;
+  EXPECT_EQ(r.output.find("LISTENING"), std::string::npos) << r.output;
+}
+
 TEST(ServiceCliTest, ClientWithoutDaemonFailsWithIoError) {
   // Port 1 is never listening; the exit code is the CLI's kIoError slot.
   RunResult r = RunClient("--connect 127.0.0.1:1 --ping");

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 
 #if defined(__GLIBC__)
@@ -38,6 +39,8 @@ namespace {
 using namespace dbsherlock;
 
 /// Minimal --flag value argument map (same idiom as dbsherlock_main).
+/// Remembers which names the command read, so RejectUnread can refuse a
+/// flag no command knows (a typo would otherwise be silently ignored).
 class Args {
  public:
   Args(int argc, char** argv, int first) {
@@ -58,11 +61,13 @@ class Args {
 
   std::string Get(const std::string& name,
                   const std::string& fallback = "") const {
+    read_.insert(name);
     auto it = values_.find(name);
     return it == values_.end() ? fallback : it->second;
   }
 
   double GetDouble(const std::string& name, double fallback) const {
+    read_.insert(name);
     auto it = values_.find(name);
     if (it == values_.end()) return fallback;
     auto parsed = common::ParseDouble(it->second);
@@ -74,10 +79,26 @@ class Args {
     return *parsed;
   }
 
-  bool Has(const std::string& name) const { return values_.contains(name); }
+  bool Has(const std::string& name) const {
+    read_.insert(name);
+    return values_.contains(name);
+  }
+
+  /// Exits 2 naming the first flag given that nothing has read. Call once
+  /// every option is built; the shutdown-only metrics flags count as read.
+  void RejectUnread() const {
+    read_.insert({"metrics-out", "print-metrics"});
+    for (const auto& [name, value] : values_) {
+      if (!read_.contains(name)) {
+        std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+        std::exit(2);
+      }
+    }
+  }
 
  private:
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;
 };
 
 int ExitCodeFor(const common::Status& status) {
@@ -166,10 +187,9 @@ int Usage() {
       "                        shed with RETRY_AFTER (default 64)\n"
       "  --idle-timeout-ms N   close connections idle this long (0 = off)\n"
       "  --max-line-bytes N    request line cap (default 1 MiB)\n"
-      "  --io-mode M           connection handling: 'threads' (one thread\n"
-      "                        per connection) or 'epoll' (edge-triggered\n"
-      "                        event loop + handler pool; default threads)\n"
-      "  --handler-threads N   epoll-mode handler pool width (default 4)\n"
+      "  --handler-threads N   workers for verbs that may block (all but\n"
+      "                        APPEND/APPENDSEQ/PING/QUIT, which run on\n"
+      "                        the event loop thread; default 4)\n"
       "  --peers host:port,... peer shards to pull causal models from via\n"
       "                        MODELSYNC (fleet replication)\n"
       "  --modelsync-interval-ms N\n"
@@ -243,20 +263,11 @@ int CmdServe(const Args& args) {
                  common::faultenv::ActiveSpec().c_str());
   }
 
+  // Every option is read before anything opens or starts, so an unknown
+  // flag exits before the daemon has touched a directory or a port.
   service::DurableModelStore::Options store_options;
   store_options.dir = args.Get("wal-dir");
   store_options.fsync_each_append = !args.Has("no-fsync");
-  auto store = service::DurableModelStore::Open(store_options);
-  if (!store.ok()) Die(store.status());
-  if (!store_options.dir.empty()) {
-    const auto& rec = (*store)->recovery();
-    std::fprintf(stderr,
-                 "model store: %zu model(s) recovered (%zu snapshot, %zu "
-                 "WAL replayed, %llu torn byte(s) discarded)\n",
-                 (*store)->num_models(), rec.snapshot_models,
-                 rec.wal_records_applied,
-                 static_cast<unsigned long long>(rec.truncated_bytes));
-  }
 
   service::Service::Options options;
   options.tenants.max_tenants =
@@ -288,8 +299,6 @@ int CmdServe(const Args& args) {
   options.min_confidence = args.GetDouble("lambda", 20.0);
   options.max_range_rows =
       static_cast<size_t>(args.GetDouble("max-range-rows", 500000));
-  options.store = store->get();
-  service::Service service(options);
 
   service::Server::Options server_options;
   server_options.host = args.Get("host", "127.0.0.1");
@@ -300,30 +309,41 @@ int CmdServe(const Args& args) {
       static_cast<int>(args.GetDouble("idle-timeout-ms", 0));
   server_options.max_line_bytes =
       static_cast<size_t>(args.GetDouble("max-line-bytes", 1 << 20));
-  std::string io_mode = args.Get("io-mode", "threads");
-  if (io_mode == "epoll") {
-    server_options.io_mode = service::IoMode::kEpoll;
-  } else if (io_mode != "threads") {
-    std::fprintf(stderr, "--io-mode: want 'threads' or 'epoll'\n");
-    return 2;
-  }
   server_options.handler_threads =
       static_cast<size_t>(args.GetDouble("handler-threads", 4));
+
+  // Fleet replication: pull peers' causal-model corpora in the background
+  // so every shard diagnoses with fleet-wide knowledge.
+  const bool replicate = args.Has("peers");
+  fleet::ModelSyncPuller::Options sync_options;
+  for (const std::string& peer : common::Split(args.Get("peers"), ',')) {
+    if (!peer.empty()) sync_options.peers.push_back(peer);
+  }
+  sync_options.interval_ms =
+      static_cast<int>(args.GetDouble("modelsync-interval-ms", 1000));
+
+  args.RejectUnread();
+
+  auto store = service::DurableModelStore::Open(store_options);
+  if (!store.ok()) Die(store.status());
+  if (!store_options.dir.empty()) {
+    const auto& rec = (*store)->recovery();
+    std::fprintf(stderr,
+                 "model store: %zu model(s) recovered (%zu snapshot, %zu "
+                 "WAL replayed, %llu torn byte(s) discarded)\n",
+                 (*store)->num_models(), rec.snapshot_models,
+                 rec.wal_records_applied,
+                 static_cast<unsigned long long>(rec.truncated_bytes));
+  }
+  options.store = store->get();
+  service::Service service(options);
+
   server_options.service = &service;
   auto server = service::Server::Start(server_options);
   if (!server.ok()) Die(server.status());
 
-  // Fleet replication: pull peers' causal-model corpora in the background
-  // so every shard diagnoses with fleet-wide knowledge.
   std::unique_ptr<fleet::ModelSyncPuller> puller;
-  if (args.Has("peers")) {
-    fleet::ModelSyncPuller::Options sync_options;
-    for (const std::string& peer :
-         common::Split(args.Get("peers"), ',')) {
-      if (!peer.empty()) sync_options.peers.push_back(peer);
-    }
-    sync_options.interval_ms =
-        static_cast<int>(args.GetDouble("modelsync-interval-ms", 1000));
+  if (replicate) {
     sync_options.service = &service;
     auto started = fleet::ModelSyncPuller::Start(std::move(sync_options));
     if (!started.ok()) Die(started.status());
@@ -387,6 +407,7 @@ int CmdRoute(const Args& args) {
       static_cast<int>(args.GetDouble("upstream-attempts", 3));
   options.down_cooldown_ms =
       static_cast<int>(args.GetDouble("down-cooldown-ms", 2000));
+  args.RejectUnread();
   auto router = fleet::Router::Start(std::move(options));
   if (!router.ok()) Die(router.status());
 
