@@ -15,8 +15,12 @@ namespace dbsherlock::common {
 
 namespace {
 
-/// Set for the lifetime of every pool worker thread (see OnWorkerThread).
-thread_local bool tls_on_pool_worker = false;
+/// Set while the thread runs a Run() helper lane on the global pool. A
+/// Run issued from such a lane runs inline: its helpers would queue behind
+/// lanes that block waiting for them, and once every global worker waits
+/// that way nothing runs them. Any other thread, private pool workers
+/// included, fans out.
+thread_local bool tls_in_helper_lane = false;
 
 }  // namespace
 
@@ -79,7 +83,6 @@ void ThreadPool::EnsureAtLeast(size_t num_threads) {
 }
 
 void ThreadPool::WorkerLoop() {
-  tls_on_pool_worker = true;
   Parked parked;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
@@ -106,8 +109,6 @@ ThreadPool& ThreadPool::Global() {
   return pool;
 }
 
-bool ThreadPool::OnWorkerThread() { return tls_on_pool_worker; }
-
 ParallelRunner::ParallelRunner(size_t parallelism)
     : lanes_(EffectiveParallelism(parallelism)) {
   // Grow the pool once, up front: Run() then never spawns a thread, which
@@ -119,9 +120,9 @@ void ParallelRunner::Run(size_t n,
                          const std::function<void(size_t)>& fn) const {
   if (n == 0) return;
   size_t lanes = std::min(lanes_, n);
-  // Serial path: explicit request, trivial range, or already inside a pool
-  // worker (running nested work inline avoids pool-saturation deadlock).
-  if (lanes <= 1 || ThreadPool::OnWorkerThread()) {
+  // Serial path: explicit request, trivial range, or nested inside a
+  // helper lane (see tls_in_helper_lane).
+  if (lanes <= 1 || tls_in_helper_lane) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -191,7 +192,9 @@ void ParallelRunner::Run(size_t n,
     pool.Submit([&shared, work, submit_us] {
       const double dequeued_us = Tracer::NowMicros();
       queue_wait->Record(dequeued_us - submit_us);
+      tls_in_helper_lane = true;
       work();
+      tls_in_helper_lane = false;
       task_exec->Record(Tracer::NowMicros() - dequeued_us);
       std::lock_guard<std::mutex> lock(shared.mu);
       if (--shared.pending_helpers == 0) shared.done_cv.notify_all();

@@ -19,7 +19,9 @@ size_t EffectiveParallelism(size_t requested);
 
 /// A small shared worker pool. Diagnosis code never uses it directly —
 /// ParallelFor/ParallelMap below schedule onto the process-wide instance —
-/// but servers run their blocking handlers on private pools.
+/// but servers run their blocking handlers, and the service its drains and
+/// diagnoses, on private pools. A task on a private pool fans out through
+/// ParallelFor like any other thread.
 ///
 /// Idle workers are woken last-idle-first (LIFO): Submit wakes the worker
 /// that went idle most recently. Under light load the same one or two
@@ -53,11 +55,6 @@ class ThreadPool {
   /// hardware_concurrency; grown on demand when a caller requests a higher
   /// explicit parallelism (benchmarks probe oversubscription this way).
   static ThreadPool& Global();
-
-  /// True when the calling thread is one of this process's pool workers.
-  /// Nested ParallelFor calls use this to degrade to the serial path
-  /// instead of deadlocking on a saturated pool.
-  static bool OnWorkerThread();
 
  private:
   void WorkerLoop();
@@ -93,7 +90,8 @@ class ParallelRunner {
 
   /// Runs fn(0) .. fn(n-1) over min(lanes(), n) lanes. The calling thread
   /// always participates, so forward progress never depends on pool
-  /// capacity. Blocks until every index has run. Distinct indices may
+  /// capacity; a call made from inside another Run's helper lane runs
+  /// inline. Blocks until every index has run. Distinct indices may
   /// touch shared state only through distinct slots (write fn results
   /// into per-index storage; see ParallelMap).
   ///

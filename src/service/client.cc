@@ -345,19 +345,6 @@ Status Client::AppendRetrying(const std::string& tenant, double timestamp,
       "append still shed after max_retries backoffs");
 }
 
-Status Client::AppendRetrying(const std::string& tenant, double timestamp,
-                              const std::vector<tsdata::Cell>& cells,
-                              int max_retries, size_t* retries) {
-  // Legacy pacing: honor the server's hint (jittered, so a herd of shed
-  // clients no longer retries in lockstep) with no growth and no budget —
-  // max_retries alone bounds the loop, as it always did.
-  RetryPolicy policy;
-  policy.max_retries = max_retries;
-  policy.backoff_factor = 1.0;
-  policy.backoff_budget_ms = 0;
-  return AppendRetrying(tenant, timestamp, cells, policy, retries);
-}
-
 Status Client::AppendSeqRetrying(const std::string& tenant, uint64_t seq,
                                  double timestamp,
                                  const std::vector<tsdata::Cell>& cells,

@@ -103,11 +103,6 @@ class Client {
                                 const std::vector<tsdata::Cell>& cells,
                                 const RetryPolicy& policy = {},
                                 size_t* retries = nullptr);
-  /// Legacy shape (max_retries only); pre-jitter behavior call sites keep
-  /// compiling but now get jittered sleeps too.
-  common::Status AppendRetrying(const std::string& tenant, double timestamp,
-                                const std::vector<tsdata::Cell>& cells,
-                                int max_retries, size_t* retries = nullptr);
   /// The chaos-hardened append: APPENDSEQ + backpressure pacing + on a
   /// dropped/reset/timed-out connection, reconnect and resend the same
   /// seq — the server replays the ack if the row already landed, so the

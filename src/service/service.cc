@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <iterator>
+#include <thread>
+#include <utility>
 
 #include "common/faultenv.h"
 #include "common/metrics.h"
@@ -59,7 +61,9 @@ Service::Service(Options options)
         t.monitor.explainer = options_.explainer;
         return t;
       }()),
-      explainer_(options_.explainer) {
+      explainer_(options_.explainer),
+      diag_pool_(std::max<size_t>(1, options_.diagnosis_workers)),
+      ingest_pool_(std::max<size_t>(1, options_.ingest_workers)) {
   auto& metrics = common::MetricsRegistry::Global();
   metrics.GetCounter("service.rows_acked");
   metrics.GetCounter("service.rows_shed");
@@ -69,17 +73,6 @@ Service::Service(Options options)
   metrics.GetHistogram("service.append_us");
   metrics.GetHistogram("service.diagnosis_us");
   metrics.GetHistogram("service.diagnosis_queue_wait_us");
-
-  size_t ingest = std::max<size_t>(1, options_.ingest_workers);
-  size_t diag = std::max<size_t>(1, options_.diagnosis_workers);
-  ingest_threads_.reserve(ingest);
-  diag_threads_.reserve(diag);
-  for (size_t i = 0; i < ingest; ++i) {
-    ingest_threads_.emplace_back([this] { IngestWorker(); });
-  }
-  for (size_t i = 0; i < diag; ++i) {
-    diag_threads_.emplace_back([this] { DiagnosisWorker(); });
-  }
 }
 
 Service::~Service() { Stop(); }
@@ -146,19 +139,14 @@ Result<Service::AppendOutcome> Service::Append(
     outcome.seq = ++t->acked;
     if (client_seq.has_value()) t->last_client_seq = *client_seq;
     t->queue_depth->Set(static_cast<double>(t->queue.size()));
-    if (!t->scheduled) {
-      // Whoever flips scheduled pushes to ready_ — the single-drainer
-      // hand-off that keeps monitor access serialized.
-      t->scheduled = true;
-      must_schedule = true;
-    }
+    // Whoever flips scheduled submits the drain — the single-drainer
+    // hand-off that keeps monitor access serialized.
+    must_schedule = !std::exchange(t->scheduled, true);
   }
   total_acked_.fetch_add(1, std::memory_order_relaxed);
   rows_acked->Increment();
   if (must_schedule) {
-    std::lock_guard lock(ready_mu_);
-    ready_.push_back(std::move(t));
-    ready_cv_.notify_one();
+    ingest_pool_.Submit([this, t = std::move(t)] { DrainTenant(t); });
   }
   return outcome;
 }
@@ -178,21 +166,6 @@ Status Service::Teach(const core::CausalModel& model) {
     NoteDurabilityOk();
   }
   return status;
-}
-
-void Service::IngestWorker() {
-  for (;;) {
-    std::shared_ptr<Tenant> tenant;
-    {
-      std::unique_lock lock(ready_mu_);
-      ready_cv_.wait(lock,
-                     [this] { return stop_ingest_ || !ready_.empty(); });
-      if (ready_.empty()) return;  // stop requested and nothing queued
-      tenant = std::move(ready_.front());
-      ready_.pop_front();
-    }
-    DrainTenant(tenant);
-  }
 }
 
 void Service::DrainTenant(const std::shared_ptr<Tenant>& tenant) {
@@ -221,8 +194,8 @@ void Service::DrainTenant(const std::shared_ptr<Tenant>& tenant) {
         std::this_thread::sleep_for(
             std::chrono::microseconds(options_.process_delay_us));
       }
-      // Safe without a lock: this worker holds the scheduled flag, so it
-      // is the only thread touching the monitor.
+      // Safe without a lock: this task holds the scheduled flag, so it is
+      // the only thread touching the monitor.
       std::optional<core::StreamingMonitor::Alert> alert =
           tenant->monitor->Append(row.timestamp, row.cells);
       if (tenant->history != nullptr &&
@@ -258,6 +231,7 @@ void Service::DrainTenant(const std::shared_ptr<Tenant>& tenant) {
 void Service::EnqueueDiagnosis(const std::shared_ptr<Tenant>& tenant,
                                const core::StreamingMonitor::Alert& alert,
                                const tsdata::Dataset& window) {
+  bool must_schedule = false;
   {
     std::lock_guard lock(tenant->diag_mu);
     if (alert.region.start < tenant->diag_covered_until) {
@@ -272,59 +246,25 @@ void Service::EnqueueDiagnosis(const std::shared_ptr<Tenant>& tenant,
     }
     tenant->diag_covered_until =
         std::max(tenant->diag_covered_until, alert.region.end);
-    ++tenant->diag_pending;
+    // Deep copy while this drain owns the monitor.
+    tenant->diag_jobs.push_back(
+        DiagnosisJob{alert.region, common::Tracer::NowMicros(), window});
+    must_schedule = !std::exchange(tenant->diag_scheduled, true);
   }
-  DiagnosisJob job;
-  job.tenant = tenant;
-  job.region = alert.region;
-  job.raised_at = alert.raised_at;
-  job.alert_us = common::Tracer::NowMicros();
-  job.window = window;  // deep copy while the drain worker owns the monitor
-  {
-    std::lock_guard lock(diag_queue_mu_);
-    diag_queue_.push_back(std::move(job));
-    diag_cv_.notify_one();
+  if (must_schedule) {
+    diag_pool_.Submit([this, tenant] { DiagnoseNext(tenant); });
   }
 }
 
-void Service::DiagnosisWorker() {
-  std::unique_lock lock(diag_queue_mu_);
-  for (;;) {
-    // First job whose tenant is under its concurrency cap. Lock order:
-    // diag_queue_mu_ (held) -> tenant->diag_mu, never the reverse.
-    size_t pick = diag_queue_.size();
-    for (size_t i = 0; i < diag_queue_.size(); ++i) {
-      std::lock_guard tenant_lock(diag_queue_[i].tenant->diag_mu);
-      if (diag_queue_[i].tenant->diag_in_flight <
-          std::max<size_t>(1, options_.per_tenant_diagnosis_cap)) {
-        pick = i;
-        break;
-      }
-    }
-    if (pick == diag_queue_.size()) {
-      if (stop_diag_ && diag_queue_.empty()) return;
-      // Either nothing queued or every job is capped; a completion or a
-      // new job notifies.
-      diag_cv_.wait(lock);
-      continue;
-    }
-    DiagnosisJob job = std::move(diag_queue_[pick]);
-    diag_queue_.erase(diag_queue_.begin() +
-                      static_cast<std::ptrdiff_t>(pick));
-    {
-      std::lock_guard tenant_lock(job.tenant->diag_mu);
-      --job.tenant->diag_pending;
-      ++job.tenant->diag_in_flight;
-    }
-    lock.unlock();
-    RunDiagnosis(std::move(job));
-    lock.lock();
-  }
-}
-
-void Service::RunDiagnosis(DiagnosisJob job) {
+void Service::DiagnoseNext(const std::shared_ptr<Tenant>& tenant) {
   TRACE_SPAN("service.diagnose");
   auto& metrics = common::MetricsRegistry::Global();
+  DiagnosisJob job;
+  {
+    std::lock_guard lock(tenant->diag_mu);
+    job = std::move(tenant->diag_jobs.front());
+    tenant->diag_jobs.pop_front();
+  }
   metrics.GetHistogram("service.diagnosis_queue_wait_us")
       ->Record(common::Tracer::NowMicros() - job.alert_us);
 
@@ -350,20 +290,24 @@ void Service::RunDiagnosis(DiagnosisJob job) {
   result.region = job.region;
   result.explanation = std::move(explanation);
   result.latency_us = common::Tracer::NowMicros() - job.alert_us;
-  {
-    std::lock_guard lock(job.tenant->diag_mu);
-    ++job.tenant->diag_completed;
-    --job.tenant->diag_in_flight;
-    job.tenant->diagnoses.push_back(std::move(result));
-    job.tenant->diag_done.notify_all();
-  }
+  // Counted before the tenant can read as idle, so a Flush that returns
+  // sees this diagnosis in the service-wide total too.
   total_diagnoses_.fetch_add(1, std::memory_order_relaxed);
   metrics.GetCounter("service.diagnoses")->Increment();
+  bool more = false;
   {
-    // Wake workers parked on a capped tenant.
-    std::lock_guard lock(diag_queue_mu_);
-    diag_cv_.notify_all();
+    std::lock_guard lock(tenant->diag_mu);
+    ++tenant->diag_completed;
+    tenant->diagnoses.push_back(std::move(result));
+    more = !tenant->diag_jobs.empty();
+    if (!more) {
+      tenant->diag_scheduled = false;
+      tenant->diag_done.notify_all();
+    }
   }
+  // One job per task: requeueing behind other tenants' tasks keeps the
+  // pool round-robin across tenants.
+  if (more) diag_pool_.Submit([this, tenant] { DiagnoseNext(tenant); });
 }
 
 Status Service::Flush(const std::string& tenant) {
@@ -378,9 +322,7 @@ Status Service::Flush(const std::string& tenant) {
   }
   {
     std::unique_lock lock(t->diag_mu);
-    t->diag_done.wait(lock, [&] {
-      return t->diag_pending == 0 && t->diag_in_flight == 0;
-    });
+    t->diag_done.wait(lock, [&] { return !t->diag_scheduled; });
   }
   return Status::OK();
 }
@@ -491,36 +433,18 @@ Result<common::JsonValue> Service::DiagnoseRangeJson(
   }
   // The user designated [t0, t1) as abnormal (the paper's workflow); pad
   // the scan with surrounding context so predicate separation has normal
-  // rows to compare against. The window is stitched incrementally from
-  // the store's pushdown scan — segments outside the padded range are
-  // never read — and the row cap stops a hostile range before it can
-  // inflate the daemon's memory.
+  // rows to compare against. The store's pushdown scan never reads
+  // segments outside the padded range, and the row cap stops a hostile
+  // range before it can inflate the daemon's memory.
   double context = (t1 - t0) * std::max(0.0, options_.range_context_factor);
   store::ScanOptions scan;
   scan.t0 = t0 - context;
   scan.t1 = t1 + context;
   scan.max_rows = options_.max_range_rows;
-  tsdata::Dataset window(t->history->schema());
-  store::ScanVisitor visitor;
-  visitor.on_chunk = [&](const tsdata::Dataset& chunk) -> Status {
-    std::vector<tsdata::Cell> cells(chunk.num_attributes());
-    for (size_t row = 0; row < chunk.num_rows(); ++row) {
-      for (size_t i = 0; i < chunk.num_attributes(); ++i) {
-        const tsdata::Column& column = chunk.column(i);
-        if (column.kind() == tsdata::AttributeKind::kNumeric) {
-          cells[i] = column.numeric(row);
-        } else {
-          cells[i] = column.CategoryName(column.code(row));
-        }
-      }
-      DBSHERLOCK_RETURN_NOT_OK(
-          window.AppendRowUnchecked(chunk.timestamp(row), cells));
-    }
-    return Status::OK();
-  };
-  visitor.on_reset = [&] { window = tsdata::Dataset(t->history->schema()); };
   store::ScanStats stats;
-  DBSHERLOCK_RETURN_NOT_OK(t->history->ScanVisit(scan, visitor, &stats));
+  auto scanned = t->history->ScanWithOptions(scan, &stats);
+  if (!scanned.ok()) return scanned.status();
+  const tsdata::Dataset& window = *scanned;
   if (stats.truncated) {
     metrics.GetCounter("service.range_diagnoses_capped")->Increment();
     return Status::ResourceExhausted(common::StrFormat(
@@ -794,15 +718,9 @@ void Service::Stop() {
     health_state_ = HealthState::kDraining;
     health_reason_.clear();
   }
-  // Drain every acked row and in-flight diagnosis before the workers go:
-  // Stop never discards acknowledged work.
+  // Drain every acked row and queued diagnosis: Stop never discards
+  // acknowledged work.
   (void)FlushAll();
-  {
-    std::lock_guard lock(ready_mu_);
-    stop_ingest_ = true;
-    ready_cv_.notify_all();
-  }
-  for (std::thread& t : ingest_threads_) t.join();
   // Clean shutdown persists the active tail: only a hard kill can lose
   // unsealed rows.
   for (const std::string& name : tenants_.Names()) {
@@ -811,12 +729,6 @@ void Service::Stop() {
       (void)(*found)->history->Seal();
     }
   }
-  {
-    std::lock_guard lock(diag_queue_mu_);
-    stop_diag_ = true;
-    diag_cv_.notify_all();
-  }
-  for (std::thread& t : diag_threads_) t.join();
 }
 
 }  // namespace dbsherlock::service

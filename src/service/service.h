@@ -2,16 +2,14 @@
 #define DBSHERLOCK_SERVICE_SERVICE_H_
 
 #include <atomic>
-#include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/json.h"
+#include "common/parallel.h"
 #include "common/status.h"
 #include "core/explainer.h"
 #include "service/model_store.h"
@@ -20,30 +18,29 @@
 namespace dbsherlock::service {
 
 /// The dbsherlockd engine, transport-free: multi-tenant ingestion with
-/// bounded queues and explicit backpressure, background anomaly diagnosis
-/// on a worker pool, and a shared durable causal-model store. The TCP
-/// frontend (server.h) and in-process embedders (tests, the replay bench)
-/// both talk to this class.
+/// bounded queues and explicit backpressure, background anomaly diagnosis,
+/// and a shared durable causal-model store. The TCP frontend (server.h)
+/// and in-process embedders (tests, the replay bench) both talk to this
+/// class.
 ///
 /// Data path: Append validates against the tenant schema and enqueues into
 /// the tenant's bounded queue (full queue => not acked, RETRY_AFTER).
-/// Ingest workers drain one tenant at a time (single-drainer invariant:
-/// the tenant's `scheduled` flag hands monitor ownership to exactly one
-/// worker), pushing rows through its StreamingMonitor. A detector alert
-/// snapshots the window and enqueues a diagnosis job; diagnosis workers
-/// run detector-region refinement + Explainer + durable-store ranking,
-/// deduplicating overlapping regions and capping per-tenant concurrency.
+/// Whoever flips the tenant's `scheduled` flag submits one drain task to
+/// the ingest pool, so exactly one thread owns the tenant's
+/// StreamingMonitor until its queue runs dry. A detector alert snapshots
+/// the window into the tenant's diagnosis FIFO, deduplicating overlapping
+/// regions; the `diag_scheduled` flag hands that FIFO to one task on the
+/// diagnosis pool, which runs one job (detector-region refinement +
+/// Explainer + durable-store ranking) per task, so a tenant has at most
+/// one diagnosis in flight. Both pools are common::ThreadPool.
 class Service {
  public:
   struct Options {
     TenantManager::Options tenants;
-    /// Worker threads draining tenant ingest queues.
+    /// Worker threads draining tenant ingest queues (at least 1).
     size_t ingest_workers = 2;
-    /// Worker threads running diagnosis jobs.
+    /// Worker threads running diagnosis jobs (at least 1).
     size_t diagnosis_workers = 2;
-    /// Max diagnosis jobs in flight per tenant (overlap dedup usually
-    /// keeps this moot; the cap bounds pathological alert storms).
-    size_t per_tenant_diagnosis_cap = 1;
     /// Bounded ingest queue per tenant; a full queue sheds with
     /// RETRY_AFTER instead of buffering unboundedly.
     size_t queue_capacity = 1024;
@@ -176,8 +173,9 @@ class Service {
   /// the models array so a torn transfer is detected before apply.
   common::JsonValue ModelSyncJson(uint64_t since_seq) const;
 
-  /// Stops accepting, drains acked rows and in-flight diagnoses, joins
-  /// workers. Idempotent; the destructor calls it.
+  /// Stops accepting, drains acked rows and queued diagnoses, then seals
+  /// every tenant's active tail. Idempotent; the destructor calls it and
+  /// then joins the worker pools.
   void Stop();
 
   TenantManager& tenants() { return tenants_; }
@@ -189,16 +187,6 @@ class Service {
   uint64_t total_diagnoses() const { return total_diagnoses_.load(); }
 
  private:
-  struct DiagnosisJob {
-    std::shared_ptr<Tenant> tenant;
-    tsdata::TimeRange region;
-    double raised_at = 0.0;
-    double alert_us = 0.0;      // when the alert fired (Tracer clock)
-    tsdata::Dataset window;     // snapshot taken by the drain worker
-  };
-
-  void IngestWorker();
-  void DiagnosisWorker();
   /// Durability-path outcome hooks behind the health state machine: an
   /// error flips ok -> degraded with `reason`; a success on the same kind
   /// of path flips degraded -> ok. Draining is terminal.
@@ -209,7 +197,9 @@ class Service {
   void EnqueueDiagnosis(const std::shared_ptr<Tenant>& tenant,
                         const core::StreamingMonitor::Alert& alert,
                         const tsdata::Dataset& window);
-  void RunDiagnosis(DiagnosisJob job);
+  /// Runs `tenant`'s oldest diagnosis job and resubmits itself while jobs
+  /// remain (the caller owns its `diag_scheduled` flag).
+  void DiagnoseNext(const std::shared_ptr<Tenant>& tenant);
 
   Options options_;
   TenantManager tenants_;
@@ -217,23 +207,6 @@ class Service {
 
   std::atomic<bool> accepting_{true};
   std::atomic<bool> stopped_{false};
-
-  // Tenants with non-empty queues awaiting a drain worker. A tenant is
-  // here iff its `scheduled` flag is set (whoever flips it false->true
-  // pushes; the drain worker clears it when the queue runs dry).
-  std::mutex ready_mu_;
-  std::condition_variable ready_cv_;
-  std::deque<std::shared_ptr<Tenant>> ready_;
-  bool stop_ingest_ = false;
-
-  // Diagnosis job queue. Lock order: diag_queue_mu_ -> tenant->diag_mu.
-  std::mutex diag_queue_mu_;
-  std::condition_variable diag_cv_;
-  std::deque<DiagnosisJob> diag_queue_;
-  bool stop_diag_ = false;
-
-  std::vector<std::thread> ingest_threads_;
-  std::vector<std::thread> diag_threads_;
 
   std::atomic<uint64_t> total_acked_{0};
   std::atomic<uint64_t> total_shed_{0};
@@ -246,6 +219,12 @@ class Service {
   HealthState health_state_ = HealthState::kOk;
   std::string health_reason_;
   uint64_t degraded_entries_ = 0;  // ok -> degraded transitions
+
+  // Declared last, so their destructors run every queued task and join
+  // before any member a task touches is destroyed. Drains submit to the
+  // diagnosis pool, so the ingest pool is joined first.
+  common::ThreadPool diag_pool_;
+  common::ThreadPool ingest_pool_;
 };
 
 }  // namespace dbsherlock::service

@@ -46,7 +46,7 @@ Result<std::shared_ptr<Tenant>> TenantManager::Hello(
   tenant->queue_depth = common::MetricsRegistry::Global().GetGauge(
       "service.queue_depth." + name);
   core::StreamingMonitor::Options monitor_options = options_.monitor;
-  // The service diagnoses on its own worker pool; the drain thread must
+  // The service diagnoses on its own worker pool; the drain task must
   // never block on a full Diagnose. Metrics are labeled per tenant so
   // multi-tenant counters stay attributable (and the aggregate sum-safe).
   monitor_options.diagnose_inline = false;
@@ -128,7 +128,7 @@ void TenantManager::EvictLocked() {
       }
       if (idle) {
         std::lock_guard diag_lock(tenant->diag_mu);
-        idle = tenant->diag_pending == 0 && tenant->diag_in_flight == 0;
+        idle = !tenant->diag_scheduled;
       }
       if (idle) {
         victim = tenant;

@@ -27,6 +27,13 @@ struct PendingRow {
   std::vector<tsdata::Cell> cells;
 };
 
+/// One alert awaiting background diagnosis.
+struct DiagnosisJob {
+  tsdata::TimeRange region;
+  double alert_us = 0.0;   // when the alert fired (Tracer clock)
+  tsdata::Dataset window;  // deep copy taken by the drain
+};
+
 /// One completed background diagnosis for a tenant.
 struct TenantDiagnosis {
   tsdata::TimeRange region;
@@ -40,19 +47,19 @@ struct TenantDiagnosis {
 ///   processed / shed counters, and `evicted`. `drained` signals queue
 ///   transitions for Flush.
 ///
-///   `monitor` is NOT guarded by a lock; it is owned by whichever worker
-///   holds the `scheduled` flag (the single-drainer invariant: exactly one
-///   thread drains a tenant's queue at a time, so monitor access is
-///   naturally serialized and TSan-clean via the mu hand-off).
+///   `monitor` is NOT guarded by a lock; it is owned by whichever drain
+///   task holds the `scheduled` flag (the single-drainer invariant:
+///   exactly one thread drains a tenant's queue at a time, so monitor
+///   access is naturally serialized and TSan-clean via the mu hand-off).
 ///
-///   `diag_mu` guards the diagnosis side: pending jobs, in-flight count,
-///   dedup watermark, and completed diagnoses. `diag_done` signals
-///   completions for Flush.
+///   `diag_mu` guards the diagnosis side: the job FIFO, `diag_scheduled`,
+///   the dedup watermark, and completed diagnoses. `diag_done` signals
+///   Flush when the diagnosis side goes idle.
 ///
 /// Order: a thread may hold at most one of {manager map lock, mu, diag_mu}
-/// except two documented edges: the manager's map lock -> mu/diag_mu
-/// (eviction idle check), and the service's dispatch-queue lock -> diag_mu
-/// (job scan) — never the reverse of either.
+/// except one documented edge: the manager's map lock -> mu/diag_mu
+/// (eviction idle check) — never the reverse. Pool submissions happen
+/// after these locks are released.
 struct Tenant {
   explicit Tenant(std::string name_in) : name(std::move(name_in)) {}
 
@@ -62,7 +69,7 @@ struct Tenant {
   std::mutex mu;
   std::condition_variable drained;
   std::deque<PendingRow> queue;
-  bool scheduled = false;   // a worker owns (or is about to own) the drain
+  bool scheduled = false;   // a drain task owns (or is about to own) queue
   size_t in_process = 0;    // rows taken from queue, not yet appended
   uint64_t acked = 0;       // rows accepted into the queue (wire-acked)
   uint64_t processed = 0;   // rows run through the monitor
@@ -88,8 +95,10 @@ struct Tenant {
 
   std::mutex diag_mu;
   std::condition_variable diag_done;
-  size_t diag_pending = 0;       // jobs queued for this tenant
-  size_t diag_in_flight = 0;     // jobs running on the worker pool
+  std::deque<DiagnosisJob> diag_jobs;  // alerts awaiting diagnosis, FIFO
+  /// A diagnosis task owns (or is about to own) diag_jobs; set while jobs
+  /// are queued or one is running, so at most one runs at a time.
+  bool diag_scheduled = false;
   double diag_covered_until = -1e300;  // dedup watermark (region end)
   uint64_t diag_deduped = 0;     // alerts skipped as overlapping
   uint64_t diag_completed = 0;

@@ -17,19 +17,17 @@ using common::Status;
 
 // --- Segment framing (DESIGN.md §11, §14) -------------------------------
 //
-//   "DBSG" | u32 version | block* | [zone block | u32 zone_len | "DBSZ"]
+//   "DBSG" | u32 version (=2) | block* | zone block | u32 zone_len | "DBSZ"
 //   block := u32 payload_len | u32 crc32(payload) | payload
 //
-// Block order is fixed: meta, timestamps, then one block per column.
-// Version 2 appends a CRC-framed zone-map block after the last column,
-// followed by an 8-byte trailer (u32 framed zone-block length + "DBSZ"
-// magic) so the footer is locatable from the end of the file without
-// walking the column blocks. Version 1 blobs end at the last column.
+// Block order is fixed: meta, timestamps, then one block per column, then
+// a CRC-framed zone-map block and an 8-byte trailer (u32 framed
+// zone-block length + "DBSZ" magic) so the footer is locatable from the
+// end of the file without walking the column blocks.
 
 constexpr char kMagic[4] = {'D', 'B', 'S', 'G'};
 constexpr char kZoneMagic[4] = {'D', 'B', 'S', 'Z'};
-constexpr uint32_t kVersionV1 = 1;
-constexpr uint32_t kVersionV2 = 2;
+constexpr uint32_t kVersion = 2;
 constexpr size_t kHeaderSize = 8;      // magic + version
 constexpr size_t kBlockHeaderSize = 8; // len + crc
 constexpr size_t kTrailerSize = 8;     // u32 zone_len + "DBSZ"
@@ -536,7 +534,9 @@ Status NextBlock(std::string_view* bytes, std::string_view* payload) {
   return Status::OK();
 }
 
-Status CheckHeader(std::string_view* bytes, uint32_t* version_out) {
+/// A well-formed header of another format version is FailedPrecondition,
+/// not ParseError: the file is intact, this build just cannot read it.
+Status CheckHeader(std::string_view* bytes) {
   if (bytes->size() < kHeaderSize) {
     return Status::ParseError("segment: shorter than header");
   }
@@ -546,12 +546,11 @@ Status CheckHeader(std::string_view* bytes, uint32_t* version_out) {
   ByteReader reader(bytes->substr(4));
   uint32_t version = 0;
   DBSHERLOCK_RETURN_NOT_OK(reader.ReadU32(&version));
-  if (version != kVersionV1 && version != kVersionV2) {
-    return Status::ParseError(
-        common::StrFormat("segment: unsupported version %u", version));
+  if (version != kVersion) {
+    return Status::FailedPrecondition(common::StrFormat(
+        "segment: unsupported format version %u", version));
   }
   bytes->remove_prefix(kHeaderSize);
-  *version_out = version;
   return Status::OK();
 }
 
@@ -609,8 +608,8 @@ Status DecodeZoneBlock(std::string_view payload, ZoneMap* zones) {
   return Status::OK();
 }
 
-/// Splits a v2 tail into the framed zone block and validates the 8-byte
-/// trailer. `tail` must be exactly `zone block | trailer`.
+/// Splits a segment's tail into the framed zone block and validates the
+/// 8-byte trailer. `tail` must be exactly `zone block | trailer`.
 Status ConsumeZoneFooter(std::string_view tail, ZoneMap* zones) {
   if (tail.size() < kBlockHeaderSize + kTrailerSize) {
     return Status::ParseError("segment: truncated zone footer");
@@ -666,7 +665,7 @@ ZoneMap ComputeZoneMap(const tsdata::Dataset& data) {
 std::string EncodeSegment(const tsdata::Dataset& data) {
   std::string out;
   out.append(kMagic, sizeof(kMagic));
-  AppendU32(&out, kVersionV2);
+  AppendU32(&out, kVersion);
   AppendBlock(&out, EncodeMetaBlock(data));
   AppendBlock(&out, EncodeTimestampBlock(data));
   for (size_t i = 0; i < data.num_attributes(); ++i) {
@@ -681,7 +680,7 @@ std::string EncodeSegment(const tsdata::Dataset& data) {
 
 Result<SegmentMeta> ReadSegmentMeta(std::string_view bytes) {
   SegmentMeta meta;
-  DBSHERLOCK_RETURN_NOT_OK(CheckHeader(&bytes, &meta.version));
+  DBSHERLOCK_RETURN_NOT_OK(CheckHeader(&bytes));
   std::string_view payload;
   DBSHERLOCK_RETURN_NOT_OK(NextBlock(&bytes, &payload));
   DBSHERLOCK_RETURN_NOT_OK(DecodeMetaBlock(payload, &meta));
@@ -690,11 +689,7 @@ Result<SegmentMeta> ReadSegmentMeta(std::string_view bytes) {
 
 Result<ZoneMap> ReadSegmentZoneMap(std::string_view bytes) {
   std::string_view body = bytes;
-  uint32_t version = 0;
-  DBSHERLOCK_RETURN_NOT_OK(CheckHeader(&body, &version));
-  if (version == kVersionV1) {
-    return Status::NotFound("segment: v1 blob has no zone-map footer");
-  }
+  DBSHERLOCK_RETURN_NOT_OK(CheckHeader(&body));
   // The trailer's length field tells us where the framed zone block
   // starts; ConsumeZoneFooter re-validates the whole tail.
   if (body.size() < kBlockHeaderSize + kTrailerSize) {
@@ -714,8 +709,7 @@ Result<ZoneMap> ReadSegmentZoneMap(std::string_view bytes) {
 }
 
 Result<tsdata::Dataset> DecodeSegment(std::string_view bytes) {
-  uint32_t version = 0;
-  DBSHERLOCK_RETURN_NOT_OK(CheckHeader(&bytes, &version));
+  DBSHERLOCK_RETURN_NOT_OK(CheckHeader(&bytes));
   std::string_view payload;
   DBSHERLOCK_RETURN_NOT_OK(NextBlock(&bytes, &payload));
   SegmentMeta meta;
@@ -779,16 +773,12 @@ Result<tsdata::Dataset> DecodeSegment(std::string_view bytes) {
       }
     }
   }
-  if (version == kVersionV2) {
-    // The footer is required: a v2 blob whose zone block was torn off is
-    // corrupt, same as a missing column block.
-    ZoneMap zones;
-    DBSHERLOCK_RETURN_NOT_OK(ConsumeZoneFooter(bytes, &zones));
-    if (zones.rows != meta.rows) {
-      return Status::ParseError("segment: zone map disagrees with meta");
-    }
-  } else if (!bytes.empty()) {
-    return Status::ParseError("segment: trailing bytes after last block");
+  // The footer is required: a blob whose zone block was torn off is
+  // corrupt, same as a missing column block.
+  ZoneMap zones;
+  DBSHERLOCK_RETURN_NOT_OK(ConsumeZoneFooter(bytes, &zones));
+  if (zones.rows != meta.rows) {
+    return Status::ParseError("segment: zone map disagrees with meta");
   }
 
   std::vector<tsdata::Cell> cells(nattrs);

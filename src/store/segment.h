@@ -19,7 +19,6 @@ struct SegmentMeta {
   uint64_t rows = 0;
   double min_ts = 0.0;  // timestamp of the first row (segments are sorted)
   double max_ts = 0.0;  // timestamp of the last row
-  uint32_t version = 0;  // segment format version (1 = no zone footer)
 };
 
 /// Per-attribute value summary inside a segment's zone-map footer
@@ -54,35 +53,33 @@ struct ZoneMap {
 
 /// Computes the zone map for a dataset by one pass over its columns.
 /// This is the exact function the encoder uses at seal time, so a map
-/// synthesized for an old footer-less segment is bit-identical to the
-/// one a re-encode would embed.
+/// recomputed at recovery is bit-identical to the one in the footer.
 ZoneMap ComputeZoneMap(const tsdata::Dataset& data);
 
 /// Serialises a dataset into an immutable segment blob (DESIGN.md §11):
 /// a "DBSG" magic + version header followed by CRC-32-framed blocks —
 /// schema/meta, delta-of-delta timestamps, then one block per column
 /// (Gorilla-style XOR compression for numeric columns, dictionary +
-/// varint codes for categorical ones), then (v2, DESIGN.md §14) a
+/// varint codes for categorical ones), then (DESIGN.md §14) a
 /// zone-map footer block and an 8-byte "DBSZ" trailer that makes the
 /// footer locatable from the end of the file. The encoding is pure bit
 /// manipulation, so every double — including NaN payloads — round-trips
 /// bit-identically.
 std::string EncodeSegment(const tsdata::Dataset& data);
 
-/// Inflates a segment blob back into a dataset. Accepts both format
-/// versions: v1 (no footer) and v2 (footer required and validated).
-/// Every length, count, and checksum is validated; corrupt or truncated
-/// input yields a clean error Status, never UB.
+/// Inflates a segment blob back into a dataset; the zone-map footer is
+/// required and validated. Every length, count, and checksum is
+/// validated; corrupt or truncated input yields a clean ParseError, never
+/// UB. A header naming any format version but 2 yields
+/// FailedPrecondition.
 common::Result<tsdata::Dataset> DecodeSegment(std::string_view bytes);
 
 /// Decodes only the meta block (schema, row count, time range). Cheap:
 /// does not touch the timestamp or column blocks beyond their framing.
 common::Result<SegmentMeta> ReadSegmentMeta(std::string_view bytes);
 
-/// Decodes only the zone-map footer of a v2 segment by seeking to the
-/// trailing "DBSZ" trailer — no timestamp or column block is touched.
-/// Returns NotFound for a v1 (footer-less) segment so the caller can
-/// synthesize the map via a full decode instead.
+/// Decodes only the zone-map footer by seeking to the trailing "DBSZ"
+/// trailer — no timestamp or column block is touched.
 common::Result<ZoneMap> ReadSegmentZoneMap(std::string_view bytes);
 
 }  // namespace dbsherlock::store

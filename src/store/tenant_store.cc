@@ -111,28 +111,6 @@ Status FsyncDir(const std::string& dir) {
   return status;
 }
 
-/// Atomically replaces `path` with `blob` via tmp-file + rename — the
-/// one-time v1 → v2 footer upgrade during recovery. Any failure leaves
-/// the original (still valid) file in place.
-Status ReplaceSegmentFile(const std::string& path, const std::string& blob,
-                          bool fsync) {
-  std::string tmp = path + ".tmp";
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
-                  0644);
-  if (fd < 0) return Errno("open", tmp);
-  Status status = WriteAll(fd, blob.data(), blob.size(), tmp);
-  if (status.ok() && fsync &&
-      common::faultenv::Fsync("seg.fsync", fd) != 0) {
-    status = Errno("fsync", tmp);
-  }
-  ::close(fd);
-  if (status.ok() && ::rename(tmp.c_str(), path.c_str()) != 0) {
-    status = Errno("rename", tmp);
-  }
-  if (!status.ok()) (void)::unlink(tmp.c_str());
-  return status;
-}
-
 }  // namespace
 
 TenantStore::TenantStore(Options options) : options_(std::move(options)) {}
@@ -181,6 +159,13 @@ Status TenantStore::RecoverLocked() {
     // the file is caught now, not mid-Scan.
     auto decoded = DecodeSegment(blob);
     if (!decoded.ok()) {
+      if (decoded.status().code() == common::StatusCode::kFailedPrecondition) {
+        // An intact file of a format version this build cannot read (say,
+        // written by a newer one) is not a torn tail: refuse to open
+        // rather than delete history.
+        return Status::FailedPrecondition("segment " + path + ": " +
+                                          decoded.status().message());
+      }
       // A corrupt segment is the torn tail of a crash mid-seal: drop it
       // here so every later open sees a clean directory (the tail is
       // truncated exactly once).
@@ -209,22 +194,7 @@ Status TenantStore::RecoverLocked() {
       metrics.GetCounter("store.recovery_empty_dropped")->Increment();
       continue;
     }
-    // v1 (footer-less) segments get their zone map synthesized from the
-    // decode we just did, re-encoded with the v2 footer, and atomically
-    // swapped into place — the upgrade happens exactly once per file.
     auto zones = ReadSegmentZoneMap(blob);
-    if (!zones.ok() &&
-        zones.status().code() == common::StatusCode::kNotFound) {
-      std::string upgraded = EncodeSegment(*decoded);
-      Status replace =
-          ReplaceSegmentFile(path, upgraded, options_.fsync_on_seal);
-      if (replace.ok()) {
-        blob = std::move(upgraded);
-        ++recovery_.segments_upgraded;
-        metrics.GetCounter("store.recovery_upgraded_segments")->Increment();
-        zones = ReadSegmentZoneMap(blob);
-      }
-    }
     SegmentInfo info;
     info.seq = seq;
     info.path = path;
@@ -232,10 +202,9 @@ Status TenantStore::RecoverLocked() {
     info.min_ts = decoded->timestamp(0);
     info.max_ts = decoded->timestamp(decoded->num_rows() - 1);
     info.bytes = blob.size();
-    // A failed in-place upgrade (e.g. read-only media) is not fatal, and
-    // a CRC-valid footer with the wrong attribute count is not trusted:
-    // either way the manifest zone map is synthesized from the decoded
-    // rows, so every manifest entry covers every schema attribute.
+    // A CRC-valid footer with the wrong attribute count is not trusted:
+    // the manifest zone map is then computed from the decoded rows, so
+    // every manifest entry covers every schema attribute.
     bool footer_fits =
         zones.ok() && zones->attrs.size() == options_.schema.num_attributes();
     info.zones = footer_fits ? std::move(*zones) : ComputeZoneMap(*decoded);
@@ -244,9 +213,6 @@ Status TenantStore::RecoverLocked() {
     segments_.push_back(std::move(info));
     ++recovery_.segments_recovered;
     recovery_.rows_recovered += decoded->num_rows();
-  }
-  if (recovery_.segments_upgraded > 0 && options_.fsync_on_seal) {
-    DBSHERLOCK_RETURN_NOT_OK(FsyncDir(options_.dir));
   }
   active_ = tsdata::Dataset(options_.schema);
   return Status::OK();

@@ -30,7 +30,8 @@ struct SegmentInfo {
 
 /// What Open() found on disk. Corrupt files are torn tails from a crash
 /// mid-seal: they are deleted during recovery (so the tail is truncated
-/// exactly once) and every intact segment is kept.
+/// exactly once) and every intact segment is kept. An intact segment of an
+/// unsupported format version fails Open instead and stays on disk.
 struct RecoveryReport {
   size_t segments_recovered = 0;
   uint64_t rows_recovered = 0;
@@ -40,9 +41,6 @@ struct RecoveryReport {
   /// and their meaningless 0.0 time bounds would poison manifest pruning
   /// and pin age-based retention.
   size_t empty_segments_dropped = 0;
-  /// v1 (footer-less) segments re-encoded in place with a zone-map footer
-  /// — the one-time backward-compatible format upgrade.
-  size_t segments_upgraded = 0;
 };
 
 /// A closed numeric-attribute filter pushed into Scan: rows must satisfy

@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <future>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -125,6 +127,36 @@ TEST(ParallelForTest, NestedCallsComplete) {
       },
       4);
   for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ParallelForTest, PrivatePoolWorkerFansOut) {
+  // Only nested calls inside the global pool's helper lanes run inline; a
+  // task on a private pool (a server's handler pool, the service's drain
+  // and diagnosis pools) fans out like any other thread.
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> threads;
+  std::promise<void> done;
+  ThreadPool pool(1);
+  pool.Submit([&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    ParallelFor(
+        4,
+        [&](size_t) {
+          std::unique_lock<std::mutex> lock(mu);
+          threads.insert(std::this_thread::get_id());
+          cv.notify_all();
+          // Hold the lane until a second thread shows up, so the calling
+          // lane cannot run every index alone; the deadline bounds a
+          // serial run.
+          cv.wait_until(lock, deadline, [&] { return threads.size() > 1; });
+        },
+        4);
+    done.set_value();
+  });
+  done.get_future().wait();
+  EXPECT_GT(threads.size(), 1u);
 }
 
 TEST(ParallelRunnerTest, LanesFollowTheConstructorArgument) {

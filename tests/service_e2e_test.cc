@@ -32,6 +32,16 @@ tsdata::Schema TwoNumeric() {
                          {"cpu", tsdata::AttributeKind::kNumeric}});
 }
 
+/// Resends paced by the server's RETRY_AFTER hint alone (no growth, no
+/// time budget), so only the retry count bounds a slow consumer.
+RetryPolicy HintPacing() {
+  RetryPolicy policy;
+  policy.max_retries = 100000;
+  policy.backoff_factor = 1.0;
+  policy.backoff_budget_ms = 0;
+  return policy;
+}
+
 /// The ISSUE's acceptance scenario: 8 tenants stream concurrently over
 /// the socket, each with one injected anomaly; every tenant must get a
 /// diagnosis with the correct cause ranked top-1 over a region that
@@ -77,8 +87,8 @@ TEST(ServiceE2eTest, BackpressureOverTheSocketLosesNoAckedRow) {
   const int kRows = 60;
   for (int t = 0; t < kRows; ++t) {
     ASSERT_TRUE((*client)
-                    ->AppendRetrying("t0", t, {10.0, 40.0},
-                                     /*max_retries=*/100000, &retries)
+                    ->AppendRetrying("t0", t, {10.0, 40.0}, HintPacing(),
+                                     &retries)
                     .ok());
   }
   EXPECT_GT(retries, 0u) << "queue of 2 never pushed back?";
@@ -144,8 +154,7 @@ TEST(ServiceE2eTest, DiagnoseRangeRanksCauseTopOneAfterWindowMovedOn) {
     double latency = (ab ? 90.0 : 10.0) + rng.NextGaussian(0.0, 1.5);
     double cpu = (ab ? 95.0 : 40.0) + rng.NextGaussian(0.0, 2.0);
     ASSERT_TRUE((*client)
-                    ->AppendRetrying("t0", t, {latency, cpu},
-                                     /*max_retries=*/100000)
+                    ->AppendRetrying("t0", t, {latency, cpu}, HintPacing())
                     .ok());
   }
   ASSERT_TRUE((*client)->Flush("t0").ok());

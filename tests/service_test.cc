@@ -220,6 +220,74 @@ TEST(ServiceTest, DiagnosesAnomalyAgainstTaughtModel) {
   service.Stop();
 }
 
+TEST(ServiceTest, DiagnosisAccountingHoldsAcrossTenantsOnSharedPools) {
+  // Eight tenants share two drain and two diagnosis workers. After
+  // FlushAll, every alert was either diagnosed or deduplicated, each
+  // tenant's diagnoses are listed in region order (two planted anomalies
+  // per tenant, so the order has something to check), and every acked
+  // row went through the monitor.
+  auto store = VolatileStore();
+  Service::Options options;
+  options.store = store.get();
+  options.ingest_workers = 2;
+  options.diagnosis_workers = 2;
+  Service service(options);
+  constexpr int kTenants = 8;
+  constexpr int kRows = 500;
+  for (int i = 0; i < kTenants; ++i) {
+    ASSERT_TRUE(service.Hello("t" + std::to_string(i), TwoNumeric()).ok());
+  }
+  // Rows interleave across tenants so drains and diagnoses overlap; each
+  // tenant's two 30-row anomalies start at its own offsets.
+  common::Pcg32 rng(9);
+  for (int t = 0; t < kRows; ++t) {
+    for (int i = 0; i < kTenants; ++i) {
+      int start = 200 + 5 * i;
+      bool ab = (t >= start && t < start + 30) ||
+                (t >= start + 180 && t < start + 210);
+      double latency = (ab ? 90.0 : 10.0) + rng.NextGaussian(0.0, 1.5);
+      double cpu = (ab ? 95.0 : 40.0) + rng.NextGaussian(0.0, 2.0);
+      AppendBlocking(&service, "t" + std::to_string(i), t, {latency, cpu});
+    }
+  }
+  ASSERT_TRUE(service.FlushAll().ok());
+
+  common::JsonValue stats = service.StatsJson();
+  double alerts_total = 0.0;
+  double diagnoses_total = 0.0;
+  for (int i = 0; i < kTenants; ++i) {
+    const std::string name = "t" + std::to_string(i);
+    const common::JsonValue* entry = stats.Find("tenants")->Find(name);
+    ASSERT_NE(entry, nullptr) << name;
+    EXPECT_EQ(entry->GetNumber("acked").ValueOr(-1), kRows) << name;
+    EXPECT_EQ(entry->GetNumber("processed").ValueOr(-1), kRows) << name;
+
+    auto tenant = service.tenants().Find(name);
+    ASSERT_TRUE(tenant.ok());
+    double alerts = static_cast<double>((*tenant)->monitor->alerts().size());
+    double completed = entry->GetNumber("diagnoses").ValueOr(-1);
+    EXPECT_GE(alerts, 2.0) << name << ": a planted anomaly never alerted";
+    EXPECT_EQ(alerts,
+              completed + entry->GetNumber("diagnoses_deduped").ValueOr(-1))
+        << name;
+    alerts_total += alerts;
+    diagnoses_total += completed;
+
+    auto diagnoses = service.DiagnosesJson(name);
+    ASSERT_TRUE(diagnoses.ok());
+    const auto& list = diagnoses->as_array();
+    ASSERT_EQ(static_cast<double>(list.size()), completed) << name;
+    for (size_t k = 1; k < list.size(); ++k) {
+      EXPECT_GE(list[k].Find("region")->GetNumber("start").ValueOr(0),
+                list[k - 1].Find("region")->GetNumber("end").ValueOr(0))
+          << name << " diagnosis " << k;
+    }
+  }
+  EXPECT_EQ(stats.GetNumber("alerts").ValueOr(-1), alerts_total);
+  EXPECT_EQ(stats.GetNumber("diagnoses").ValueOr(-1), diagnoses_total);
+  service.Stop();
+}
+
 TEST(ServiceTest, IdleTenantsAreEvictedLeastRecentlyUsed) {
   auto store = VolatileStore();
   Service::Options options;

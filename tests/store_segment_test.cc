@@ -253,20 +253,6 @@ TEST(SegmentCodecTest, ZoneFooterRoundTripsComputeZoneMap) {
   }
 }
 
-TEST(SegmentCodecTest, V1BlobStillDecodesButHasNoZoneMap) {
-  Dataset d = RandomDataset(19, 64);
-  std::string v1 = MakeV1(EncodeSegment(d));
-  auto back = DecodeSegment(v1);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ExpectBitIdentical(d, *back);
-  auto meta = ReadSegmentMeta(v1);
-  ASSERT_TRUE(meta.ok());
-  EXPECT_EQ(meta->version, 1u);
-  auto zones = ReadSegmentZoneMap(v1);
-  ASSERT_FALSE(zones.ok());
-  EXPECT_EQ(zones.status().code(), common::StatusCode::kNotFound);
-}
-
 TEST(SegmentCodecTest, V2WithoutItsFooterIsCorrupt) {
   Dataset d = RandomDataset(23, 64);
   std::string blob = EncodeSegment(d);
@@ -276,7 +262,7 @@ TEST(SegmentCodecTest, V2WithoutItsFooterIsCorrupt) {
   torn[4] = 2;
   EXPECT_FALSE(DecodeSegment(torn).ok());
   EXPECT_FALSE(ReadSegmentZoneMap(torn).ok());
-  // A v1 blob with trailing junk is equally corrupt.
+  // A v1 blob, trailing junk or not, is refused too.
   std::string junk = MakeV1(blob) + "xx";
   EXPECT_FALSE(DecodeSegment(junk).ok());
 }

@@ -488,43 +488,34 @@ TEST(TenantStoreTest, MaxRowsCapsOutputAndTruncatedIsExact) {
   EXPECT_TRUE(stats.truncated);
 }
 
-TEST(TenantStoreTest, V1SegmentsAreUpgradedInPlaceDuringRecovery) {
-  std::string dir = StoreDir("upgrade");
-  std::vector<std::string> paths;
-  {
-    auto store = MustOpen(SmallOptions(dir));
-    Fill(store.get(), 0, 30);
-    for (const auto& seg : store->Manifest()) paths.push_back(seg.path);
+TEST(TenantStoreTest, UnsupportedSegmentVersionsFailOpenAndStayOnDisk) {
+  // An intact segment this build cannot read — the retired footer-less v1
+  // format, or a version-3 header from a newer build — is not a torn
+  // tail: Open refuses the directory, names the file, and deletes nothing.
+  for (char version : {1, 3}) {
+    std::string dir = StoreDir("version" + std::to_string(version));
+    std::vector<std::string> paths;
+    {
+      auto store = MustOpen(SmallOptions(dir));
+      Fill(store.get(), 0, 20);
+      for (const auto& seg : store->Manifest()) paths.push_back(seg.path);
+    }
+    ASSERT_EQ(paths.size(), 2u);
+    std::string intact = ReadFileOrDie(paths[0]);
+    std::string foreign = ReadFileOrDie(paths[1]);
+    if (version == 1) foreign = MakeV1(foreign);
+    foreign[4] = version;
+    WriteFileOrDie(paths[1], foreign);
+
+    auto reopened = TenantStore::Open(SmallOptions(dir));
+    ASSERT_FALSE(reopened.ok()) << "version " << int{version};
+    EXPECT_EQ(reopened.status().code(),
+              common::StatusCode::kFailedPrecondition);
+    EXPECT_NE(reopened.status().message().find(paths[1]), std::string::npos)
+        << reopened.status().ToString();
+    EXPECT_EQ(ReadFileOrDie(paths[0]), intact);
+    EXPECT_EQ(ReadFileOrDie(paths[1]), foreign);
   }
-  ASSERT_EQ(paths.size(), 3u);
-  // Downgrade two of the three files to the footer-less v1 format.
-  for (size_t i = 0; i < 2; ++i) {
-    std::string v1 = MakeV1(ReadFileOrDie(paths[i]));
-    WriteFileOrDie(paths[i], v1);
-    EXPECT_EQ(ReadSegmentZoneMap(v1).status().code(),
-              common::StatusCode::kNotFound);
-  }
-  auto store = MustOpen(SmallOptions(dir));
-  EXPECT_EQ(store->recovery().segments_recovered, 3u);
-  EXPECT_EQ(store->recovery().segments_upgraded, 2u);
-  // The files on disk now carry a readable footer...
-  for (const std::string& path : paths) {
-    EXPECT_TRUE(ReadSegmentZoneMap(ReadFileOrDie(path)).ok()) << path;
-  }
-  // ...no row was lost, and the rebuilt zones drive pruning correctly.
-  auto all = store->ScanTail(1000);
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->num_rows(), 30u);
-  ScanOptions opts;
-  opts.bounds.push_back({"cpu", 0.0, 5.0});
-  ScanStats stats;
-  auto pruned = store->ScanWithOptions(opts, &stats);
-  ASSERT_TRUE(pruned.ok());
-  EXPECT_EQ(pruned->num_rows(), 6u);
-  EXPECT_EQ(stats.segments_skipped_zone, 2u);
-  // The upgrade happened exactly once: a reopen finds nothing to do.
-  auto again = MustOpen(SmallOptions(dir));
-  EXPECT_EQ(again->recovery().segments_upgraded, 0u);
 }
 
 TEST(TenantStoreTest, FooterWithWrongAttributeCountIsRecomputedAtRecovery) {

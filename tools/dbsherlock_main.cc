@@ -576,6 +576,13 @@ int CmdClient(const Args& args) {
     bool said_hello = false;
     size_t total_rows = 0;
     size_t retries = 0;
+    // Pace resends by the server's RETRY_AFTER hint alone: no growth and
+    // no time budget, so a slow daemon stalls the replay but never fails
+    // it before max_retries.
+    service::RetryPolicy pacing;
+    pacing.max_retries = 10000;
+    pacing.backoff_factor = 1.0;
+    pacing.backoff_budget_ms = 0;
     bool done = false;
     while (!done) {
       std::string text = header + "\n";
@@ -613,7 +620,7 @@ int CmdClient(const Args& args) {
         }
         common::Status status =
             (*client)->AppendRetrying(tenant, batch->timestamp(row), cells,
-                                      /*max_retries=*/10000, &retries);
+                                      pacing, &retries);
         if (!status.ok()) Die(status);
       }
       total_rows += batch->num_rows();
